@@ -5,8 +5,8 @@
 //!   [`Matrix::matmul_reference`]. This is the pre-optimization baseline.
 //! * `blocked` — the cache-blocked, autovectorized f32 GEMM behind
 //!   [`Matrix::matmul`] today (bit-identical results to `naive`).
-//! * `quant` — the int8 weight-quantized FMA kernel behind
-//!   `QuantMatrix`/`Graph::with_quant` (bounded drift, not bit-identical).
+//! * `quant` — the int8 weight-quantized FMA kernel behind `QuantMatrix`
+//!   and the evaluator's int8 mode (bounded drift, not bit-identical).
 //!
 //! Writes `BENCH_infer.json`:
 //!
@@ -17,11 +17,16 @@
 //! * `end_to_end`: a full `Predictor::predict_batch` vs
 //!   `QuantPredictor::predict_batch` on a real kernel (graph encoding,
 //!   message passing and heads included — only the weight matmuls are
-//!   quantized, so this speedup is necessarily smaller than the kernel
-//!   one);
+//!   quantized, and the f32 side keeps the evaluator's f32-only fusions,
+//!   so this speedup is necessarily smaller than the kernel one);
 //! * `accuracy`: quantized-vs-f32 prediction drift over **all 13 paper
 //!   kernels** (valid-probability RMSE, mean |log2 cycles ratio|, max
-//!   absolute utilization drift), with the bounds the run enforces.
+//!   absolute utilization drift), with the bounds the run enforces;
+//! * `evaluator`: the three-model surrogate pass at the paper config
+//!   (`ModelConfig::paper()`) through the autodiff tape (`forward`) vs the
+//!   tape-free evaluator (`predict_batch`), on gemm-ncubed and 2mm at batch
+//!   1 and 64, with a `bit_identical` flag over every head output. A
+//!   mismatch fails the run even in report-only mode.
 //!
 //! Timings are min-of-batches (`GNNDSE_INFER_BATCHES` x `GNNDSE_INFER_REPS`,
 //! default 15 x 10): on shared/noisy machines the minimum is the robust
@@ -29,9 +34,10 @@
 //! the speedup/accuracy asserts to report-only (CI uses this; the numbers
 //! are still written for jq-level schema checks).
 
-use design_space::DesignSpace;
-use gdse_gnn::{ModelConfig, ModelKind};
+use design_space::{DesignPoint, DesignSpace};
+use gdse_gnn::{GraphBatch, GraphInput, ModelConfig, ModelKind};
 use gdse_tensor::{Activation, Matrix, QuantMatrix};
+use gnn_dse::dataset::Normalizer;
 use gnn_dse::trainer::TrainConfig;
 use gnn_dse::{dbgen, Predictor, QuantPredictor};
 use gnn_dse_bench::{init_obs_from_env, out, rule};
@@ -93,6 +99,21 @@ struct AccuracyBounds {
     util_max_abs: f64,
 }
 
+/// Tape vs evaluator on one (kernel, batch size) at the paper config.
+#[derive(serde::Serialize)]
+struct EvaluatorRow {
+    kernel: String,
+    points: usize,
+    /// Lowering + batching + the three models' tape `forward`.
+    tape_us: f64,
+    /// `Predictor::predict_batch` (lowering + batching + evaluator + decode).
+    eval_us: f64,
+    /// tape / evaluator
+    speedup: f64,
+    /// Every head output of all three models equal bit for bit.
+    bit_identical: bool,
+}
+
 #[derive(serde::Serialize)]
 struct InferBenchReport {
     batches: usize,
@@ -102,6 +123,7 @@ struct InferBenchReport {
     end_to_end: EndToEnd,
     accuracy: Vec<KernelAccuracy>,
     accuracy_bounds: AccuracyBounds,
+    evaluator: Vec<EvaluatorRow>,
 }
 
 fn env_or(name: &str, default: u64) -> u64 {
@@ -185,6 +207,56 @@ fn train(seed: u64) -> Predictor {
     p
 }
 
+/// Times the paper-config surrogate pass through the tape and through the
+/// evaluator, and compares every head output bitwise.
+fn bench_evaluator(kernel_name: &str, points: usize, batches: usize) -> EvaluatorRow {
+    let p = Predictor::untrained(
+        ModelKind::Transformer,
+        ModelConfig::paper(),
+        Normalizer::with_factor(1e6),
+    );
+    let kernel = hls_ir::kernels::kernel_by_name(kernel_name).expect("paper kernel");
+    let space = DesignSpace::from_kernel(&kernel);
+    let graph = build_graph_bidirectional(&kernel, &space);
+    let pts: Vec<DesignPoint> =
+        (0..points as u128).map(|i| space.point_at(i * 13 % space.size())).collect();
+    let lower = || {
+        let inputs: Vec<GraphInput> =
+            pts.iter().map(|pt| GraphInput::from_graph(&graph, Some(pt))).collect();
+        let items: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&pts).collect();
+        GraphBatch::new(&items)
+    };
+    let models = [p.classifier(), p.regressor(), p.bram_model()];
+    let tape_us = min_time(batches, 1, || {
+        let batch = lower();
+        for m in models {
+            let _ = m.forward(&batch);
+        }
+    });
+    let eval_us = min_time(batches, 1, || {
+        let _ = p.predict_batch(&graph, &pts);
+    });
+    let batch = lower();
+    let bit_identical = models.iter().all(|m| {
+        let tape = m.forward(&batch);
+        let eval = m.predict(&batch);
+        tape.outputs.len() == eval.len()
+            && tape.outputs.iter().zip(&eval).all(|(&o, e)| {
+                let t = tape.graph.value(o).as_slice();
+                let e = e.as_slice();
+                t.len() == e.len() && t.iter().zip(e).all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+    });
+    EvaluatorRow {
+        kernel: kernel_name.to_string(),
+        points,
+        tape_us,
+        eval_us,
+        speedup: tape_us / eval_us,
+        bit_identical,
+    }
+}
+
 fn main() {
     init_obs_from_env();
     let batches = env_or("GNNDSE_INFER_BATCHES", 15) as usize;
@@ -242,7 +314,8 @@ fn main() {
     // End-to-end: the full surrogate pipeline, f32 vs quantized. Only the
     // weight matmuls are quantized — graph encoding and message-passing
     // bookkeeping are untouched — so this speedup is the honest end-to-end
-    // number, not the kernel ratio.
+    // number, not the kernel ratio. The f32 side also has the evaluator's
+    // f32-only fusions (one wide QKV GEMM, zero-skip on one-hot inputs).
     let p = train(23);
     let qp = QuantPredictor::quantize(&p);
     let k = hls_ir::kernels::gemm_ncubed();
@@ -329,6 +402,29 @@ fn main() {
     }
     out!();
 
+    // Tape vs tape-free evaluator at the paper config.
+    out!("  paper-config surrogate pass, tape forward vs evaluator:");
+    out!("  {:>12} | {:>6} | {:>10} | {:>10} | {:>7} | {}", "kernel", "points", "tape us", "eval us", "speedup", "bitwise");
+    rule(70);
+    let mut evaluator = Vec::new();
+    for kernel in ["gemm-ncubed", "2mm"] {
+        for points in [1usize, 64] {
+            let runs = if points == 1 { batches * 4 } else { batches.min(8) };
+            let row = bench_evaluator(kernel, points, runs);
+            out!(
+                "  {:>12} | {:>6} | {:>10.0} | {:>10.0} | {:>6.2}x | {}",
+                row.kernel,
+                row.points,
+                row.tape_us,
+                row.eval_us,
+                row.speedup,
+                if row.bit_identical { "identical" } else { "MISMATCH" }
+            );
+            evaluator.push(row);
+        }
+    }
+    out!();
+
     let report = InferBenchReport {
         batches,
         reps,
@@ -337,10 +433,22 @@ fn main() {
         end_to_end,
         accuracy,
         accuracy_bounds: bounds,
+        evaluator,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_infer.json", json).expect("BENCH_infer.json");
     out!("wrote BENCH_infer.json");
+
+    // Bit-identity is a correctness property, not a speed threshold: it is
+    // asserted in report-only runs too.
+    for row in &report.evaluator {
+        assert!(
+            row.bit_identical,
+            "{} x{}: evaluator outputs differ from the tape",
+            row.kernel,
+            row.points
+        );
+    }
 
     if enforce {
         assert!(

@@ -16,11 +16,11 @@
 //!   post-swap epochs);
 //! * `stages`: per-stage latency attribution from the server's span
 //!   histograms (`ingress`/`route`/`queue_wait`/`batch_wait`/`infer`/
-//!   `write`, each with count + mean + p99), `trace_total_mean_us`, and
+//!   `reply`/`write`, each with count + mean + p99), `trace_total_mean_us`, and
 //!   `stage_coverage` (asserted >= 0.9 — the spans must tile the
 //!   end-to-end latency, not sample it);
 //! * `kernels`: matmul-level attribution inside the `infer` stage from
-//!   the `infer.gemm_*` / `infer.quant_*` kernel counters, with
+//!   the `tensor.gemm_*` / `tensor.quant_*` kernel counters, with
 //!   `share_of_infer` = kernel time / infer-stage span time.
 //!
 //! `GNNDSE_CLIENTS` (default 4) and `GNNDSE_REQUESTS` (default 120,
@@ -50,17 +50,18 @@ struct StageStat {
 }
 
 /// Where the `infer` stage itself spent its time, from the tensor
-/// kernels' own counters (`infer.gemm_*` booked by the blocked f32 GEMM,
-/// `infer.quant_*` by the int8 panel kernel). `share_of_infer` is
+/// kernels' own counters (`tensor.gemm_*` booked by the f32 GEMMs,
+/// `tensor.quant_*` by the int8 panel kernel, both in nanoseconds).
+/// `share_of_infer` is
 /// Σ kernel time / Σ `infer`-stage span time: how much of the inference
 /// stage the matmuls explain (the rest is graph encoding, batching glue
 /// and head bookkeeping). Report-only — attribution, not a threshold.
 #[derive(serde::Serialize)]
 struct KernelAttribution {
     gemm_calls: u64,
-    gemm_us: u64,
+    gemm_ns: u64,
     quant_calls: u64,
-    quant_us: u64,
+    quant_ns: u64,
     share_of_infer: f64,
 }
 
@@ -92,7 +93,8 @@ struct ServeBenchReport {
 }
 
 /// The span taxonomy, in pipeline order (also the report's row order).
-const STAGES: [&str; 6] = ["ingress", "route", "queue_wait", "batch_wait", "infer", "write"];
+const STAGES: [&str; 7] =
+    ["ingress", "route", "queue_wait", "batch_wait", "infer", "reply", "write"];
 
 fn env_or(name: &str, default: u64) -> u64 {
     match std::env::var(name) {
@@ -284,16 +286,16 @@ fn main() {
     // own counters (folded into the same registry as the span histograms).
     let ctr = |name: &str| snap.counter(name).unwrap_or(0);
     let infer_sum = hist("serve.trace.infer_us").map_or(0, |h| h.sum);
-    let (gemm_us, quant_us) = (ctr("infer.gemm_us"), ctr("infer.quant_us"));
+    let (gemm_ns, quant_ns) = (ctr("tensor.gemm_ns"), ctr("tensor.quant_ns"));
     let kernels = KernelAttribution {
-        gemm_calls: ctr("infer.gemm_calls"),
-        gemm_us,
-        quant_calls: ctr("infer.quant_calls"),
-        quant_us,
+        gemm_calls: ctr("tensor.gemm_calls"),
+        gemm_ns,
+        quant_calls: ctr("tensor.quant_calls"),
+        quant_ns,
         share_of_infer: if infer_sum == 0 {
             0.0
         } else {
-            (gemm_us + quant_us) as f64 / infer_sum as f64
+            (gemm_ns + quant_ns) as f64 / 1e3 / infer_sum as f64
         },
     };
     let report = ServeBenchReport {
@@ -340,10 +342,10 @@ fn main() {
         report.stage_coverage * 100.0
     );
     out!(
-        "  kernels    gemm {} us over {} call(s) | quant {} us over {} call(s) | {:.1}% of infer",
-        report.kernels.gemm_us,
+        "  kernels    gemm {} ns over {} call(s) | quant {} ns over {} call(s) | {:.1}% of infer",
+        report.kernels.gemm_ns,
         report.kernels.gemm_calls,
-        report.kernels.quant_us,
+        report.kernels.quant_ns,
         report.kernels.quant_calls,
         report.kernels.share_of_infer * 100.0
     );

@@ -208,6 +208,10 @@ pub fn run_dse_with_engine(
                       fallback: &mut Vec<(DesignPoint, Prediction)>,
                       archive: &mut ParetoArchive<(DesignPoint, Prediction)>| {
         for (p, pred) in pairs.drain(..) {
+            if pred.is_diverged() {
+                // A non-finite model output carries no ranking information.
+                continue;
+            }
             if objective.feasible_prediction(&pred) {
                 if pareto_mode {
                     archive.insert(prediction_axes(&pred), (p.clone(), pred));
@@ -430,6 +434,53 @@ mod tests {
         );
         let space = DesignSpace::from_kernel(&k);
         (p, k, space)
+    }
+
+    #[test]
+    fn nan_latency_head_is_never_usable_nor_ranked() {
+        let k = kernels::gemm_ncubed();
+        let space = DesignSpace::from_kernel(&k);
+        let graph = build_graph_bidirectional(&k, &space);
+        let healthy = Predictor::untrained(
+            ModelKind::Transformer,
+            ModelConfig::small(),
+            crate::dataset::Normalizer::with_factor(1e6),
+        );
+        let mut reg = healthy.regressor().clone();
+        let biases: Vec<_> = reg
+            .store()
+            .ids()
+            .filter(|&id| reg.store().name(id).starts_with("head.latency.b"))
+            .collect();
+        assert!(!biases.is_empty());
+        for id in biases {
+            reg.store_mut().value_mut(id).as_mut_slice().fill(f32::NAN);
+        }
+        let poisoned = Predictor::from_parts(
+            healthy.classifier().clone(),
+            reg,
+            healthy.bram_model().clone(),
+            *healthy.normalizer(),
+        );
+
+        // `f64::max` used to drop the NaN and decode it to a 1-cycle design.
+        let points: Vec<DesignPoint> = (0..5u128).map(|i| space.point_at(i * 7)).collect();
+        let before = obs::metrics::counter_value("surrogate.nonfinite");
+        let preds = poisoned.predict_batch(&graph, &points);
+        assert!(preds.iter().all(|pr| pr.is_diverged() && !pr.usable(f64::INFINITY)));
+        assert_eq!(obs::metrics::counter_value("surrogate.nonfinite") - before, 5);
+
+        let mut heuristic = DseConfig::quick();
+        heuristic.exhaustive_limit = 10;
+        heuristic.max_inferences = 64;
+        for cfg in [DseConfig::quick(), heuristic] {
+            let serial = ExecEngine::serial;
+            let out = run_dse_with_engine(&poisoned, &k, &space, &graph, &cfg, &serial());
+            assert!(out.inferences > 0);
+            assert!(out.top.is_empty(), "a diverged prediction was ranked: {:?}", out.top.first());
+            let sane = run_dse_with_engine(&healthy, &k, &space, &graph, &cfg, &serial());
+            assert!(sane.top.iter().all(|(_, pr)| !pr.is_diverged()) && !sane.top.is_empty());
+        }
     }
 
     fn evaluated_all(kernel: &Kernel, space: &DesignSpace) -> Vec<Evaluated> {

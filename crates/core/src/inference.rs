@@ -24,10 +24,25 @@ pub struct Prediction {
 }
 
 impl Prediction {
+    /// What a design decodes to when any head output is NaN or infinite:
+    /// certainly invalid, the slowest latency, and every resource maxed.
+    /// It is never usable and DSE never ranks it.
+    pub const DIVERGED: Prediction = Prediction {
+        valid_prob: 0.0,
+        cycles: u64::MAX,
+        util: Utilization { dsp: f64::MAX, bram: f64::MAX, lut: f64::MAX, ff: f64::MAX },
+    };
+
     /// Whether the surrogate considers the design usable: predicted valid
     /// and every utilization under `threshold`.
     pub fn usable(&self, threshold: f64) -> bool {
         self.valid_prob >= 0.5 && self.util.fits(threshold)
+    }
+
+    /// Whether this is [`Prediction::DIVERGED`]: some head output was not
+    /// finite, so the prediction carries no information.
+    pub fn is_diverged(&self) -> bool {
+        *self == Prediction::DIVERGED
     }
 }
 
@@ -167,6 +182,20 @@ impl Predictor {
 
     /// Predicts a batch of design points of one kernel.
     pub fn predict_batch(&self, graph: &ProgramGraph, points: &[DesignPoint]) -> Vec<Prediction> {
+        self.predict_with(graph, points, None)
+    }
+
+    /// The one prediction body behind [`Predictor::predict_batch`] and
+    /// [`QuantPredictor::predict_batch`]: lower every point, batch them,
+    /// run the three models through the tape-free evaluator (with int8
+    /// weights when `quant` holds the (classifier, regressor, bram) sets),
+    /// and decode.
+    fn predict_with(
+        &self,
+        graph: &ProgramGraph,
+        points: &[DesignPoint],
+        quant: Option<[&QuantParamSet; 3]>,
+    ) -> Vec<Prediction> {
         if points.is_empty() {
             return Vec::new();
         }
@@ -179,25 +208,41 @@ impl Predictor {
             inputs.iter().map(|(gi, p)| (gi, *p)).collect();
         let batch = GraphBatch::new(&refs);
 
-        let cls = self.classifier.forward(&batch);
-        let reg = self.regressor.forward(&batch);
-        let bram = self.bram_model.forward(&batch);
+        let models = [&self.classifier, &self.regressor, &self.bram_model];
+        let [cls, reg, bram] = std::array::from_fn(|m| match quant {
+            Some(sets) => models[m].predict_quant(&batch, sets[m]),
+            None => models[m].predict(&batch),
+        });
 
+        let mut nonfinite = 0u64;
         let preds: Vec<Prediction> = (0..points.len())
             .map(|i| {
-                let logit = cls.graph.value(cls.outputs[0]).get(i, 0);
+                let [logit, t_lat, dsp, lut, ff] =
+                    [&cls[0], &reg[0], &reg[1], &reg[2], &reg[3]].map(|m| m.get(i, 0));
+                let bram_util = bram[0].get(i, 0);
+                if ![logit, t_lat, dsp, lut, ff, bram_util].iter().all(|v| v.is_finite()) {
+                    nonfinite += 1;
+                    return Prediction::DIVERGED;
+                }
                 let valid_prob = f64::from(1.0 / (1.0 + (-logit).exp()));
-                let t_lat = f64::from(reg.graph.value(reg.outputs[0]).get(i, 0));
                 let util = Utilization {
-                    dsp: f64::from(reg.graph.value(reg.outputs[1]).get(i, 0)),
-                    lut: f64::from(reg.graph.value(reg.outputs[2]).get(i, 0)),
-                    ff: f64::from(reg.graph.value(reg.outputs[3]).get(i, 0)),
-                    bram: f64::from(bram.graph.value(bram.outputs[0]).get(i, 0)),
+                    dsp: f64::from(dsp),
+                    lut: f64::from(lut),
+                    ff: f64::from(ff),
+                    bram: f64::from(bram_util),
                 };
-                Prediction { valid_prob, cycles: self.normalizer.inverse(t_lat), util }
+                Prediction {
+                    valid_prob,
+                    cycles: self.normalizer.inverse(f64::from(t_lat)),
+                    util,
+                }
             })
             .collect();
+        cls.into_iter().chain(reg).chain(bram).for_each(gdse_tensor::arena::recycle);
         gdse_obs::metrics::counter_add("surrogate.inferences", points.len() as u64);
+        if nonfinite > 0 {
+            gdse_obs::metrics::counter_add("surrogate.nonfinite", nonfinite);
+        }
         gdse_obs::metrics::counter_add("surrogate.busy_us", started.elapsed().as_micros() as u64);
         preds
     }
@@ -295,43 +340,11 @@ impl QuantPredictor {
     /// Predicts a batch of design points of one kernel through the int8
     /// kernels — the quantized mirror of [`Predictor::predict_batch`].
     pub fn predict_batch(&self, graph: &ProgramGraph, points: &[DesignPoint]) -> Vec<Prediction> {
-        if points.is_empty() {
-            return Vec::new();
+        let sets = [&*self.classifier_q, &*self.regressor_q, &*self.bram_q];
+        let preds = self.base.predict_with(graph, points, Some(sets));
+        if !preds.is_empty() {
+            gdse_obs::metrics::counter_add("surrogate.quant_inferences", preds.len() as u64);
         }
-        let started = std::time::Instant::now();
-        let inputs: Vec<(GraphInput, &DesignPoint)> = points
-            .iter()
-            .map(|p| (GraphInput::from_graph(graph, Some(p)), p))
-            .collect();
-        let refs: Vec<(&GraphInput, &DesignPoint)> =
-            inputs.iter().map(|(gi, p)| (gi, *p)).collect();
-        let batch = GraphBatch::new(&refs);
-
-        let cls = self.base.classifier.forward_quant(&batch, &self.classifier_q);
-        let reg = self.base.regressor.forward_quant(&batch, &self.regressor_q);
-        let bram = self.base.bram_model.forward_quant(&batch, &self.bram_q);
-
-        let preds: Vec<Prediction> = (0..points.len())
-            .map(|i| {
-                let logit = cls.graph.value(cls.outputs[0]).get(i, 0);
-                let valid_prob = f64::from(1.0 / (1.0 + (-logit).exp()));
-                let t_lat = f64::from(reg.graph.value(reg.outputs[0]).get(i, 0));
-                let util = Utilization {
-                    dsp: f64::from(reg.graph.value(reg.outputs[1]).get(i, 0)),
-                    lut: f64::from(reg.graph.value(reg.outputs[2]).get(i, 0)),
-                    ff: f64::from(reg.graph.value(reg.outputs[3]).get(i, 0)),
-                    bram: f64::from(bram.graph.value(bram.outputs[0]).get(i, 0)),
-                };
-                Prediction {
-                    valid_prob,
-                    cycles: self.base.normalizer.inverse(t_lat),
-                    util,
-                }
-            })
-            .collect();
-        gdse_obs::metrics::counter_add("surrogate.inferences", points.len() as u64);
-        gdse_obs::metrics::counter_add("surrogate.quant_inferences", points.len() as u64);
-        gdse_obs::metrics::counter_add("surrogate.busy_us", started.elapsed().as_micros() as u64);
         preds
     }
 
@@ -472,7 +485,7 @@ mod tests {
         }
         let snap = obs::metrics::snapshot();
         assert_eq!(snap.counter("surrogate.quant_inferences"), Some(points.len() as u64));
-        assert!(snap.counter("infer.quant_calls").unwrap_or(0) > 0, "int8 kernel must run");
+        assert!(snap.counter("tensor.quant_calls").unwrap_or(0) > 0, "int8 kernel must run");
     }
 
     #[test]

@@ -464,7 +464,7 @@ pub fn encode_model_quant(model: &PredictionModel, quant: &QuantParamSet) -> Vec
 /// The rebuilt [`PredictionModel`]'s f32 store holds the *dequantized*
 /// weights for int8 parameters (the exact f32 originals are not stored),
 /// so its plain `forward` approximates the source model while
-/// `forward_quant` with the returned set reproduces the quantized pipeline
+/// `predict_quant` with the returned set reproduces the quantized pipeline
 /// bit-for-bit.
 ///
 /// # Errors
@@ -700,7 +700,6 @@ mod tests {
 
     #[test]
     fn quant_model_round_trip_reproduces_quant_forward_bitwise() {
-        use std::sync::Arc;
         let k = kernels::gemm_ncubed();
         let space = DesignSpace::from_kernel(&k);
         let graph = build_graph_bidirectional(&k, &space);
@@ -722,8 +721,11 @@ mod tests {
         let (back, qs_back) = decode_model_quant(&payload).expect("decodes");
         assert_eq!(back.kind(), model.kind());
         assert_eq!(qs_back.len(), qs.len());
-        let a = model.forward_quant(&batch, &Arc::new(qs)).values();
-        let b = back.forward_quant(&batch, &Arc::new(qs_back)).values();
+        let flat = |heads: Vec<Matrix>| -> Vec<f32> {
+            heads.into_iter().flat_map(Matrix::into_vec).collect()
+        };
+        let a = flat(model.predict_quant(&batch, &qs));
+        let b = flat(back.predict_quant(&batch, &qs_back));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits(), "quant pipeline must round-trip exactly");
         }

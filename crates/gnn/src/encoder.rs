@@ -1,12 +1,13 @@
 //! The GNN encoder of §4.3.1: stacked graph convolutions, optional Jumping
 //! Knowledge combination, and a graph-level readout.
 
+use crate::eval::Weights;
 use crate::input::GraphBatch;
 use crate::layers::gat::GatConv;
 use crate::layers::gcn::GcnConv;
 use crate::layers::pool::{sum_pool, AttentionPool};
 use crate::layers::transformer::TransformerConv;
-use gdse_tensor::{Graph, NodeId, ParamStore};
+use gdse_tensor::{arena, ops, Graph, Matrix, NodeId, ParamStore};
 use proggraph::EDGE_FEATS;
 use serde::{Deserialize, Serialize};
 
@@ -137,6 +138,73 @@ impl GnnEncoder {
                 }
             }
         }
+    }
+
+    /// Forward-only [`forward`](Self::forward): the per-graph embeddings
+    /// `[B, D]`, bit-identical to its `graph_emb`.
+    ///
+    /// Each layer's ELU + LayerNorm runs in place on the convolution output,
+    /// and Jumping Knowledge keeps a running elementwise max instead of
+    /// stacking every layer.
+    pub fn eval(&self, w: &Weights, input: &GraphBatch) -> Matrix {
+        let jkn = self.use_jkn && self.convs.len() > 1;
+        // `None` until the first layer: its input is the one-hot features.
+        let mut h: Option<Matrix> = None;
+        let mut jk: Option<Matrix> = None;
+        for conv in &self.convs {
+            let (x, sparse) = match &h {
+                Some(m) => (m, false),
+                None => (&input.x, true),
+            };
+            let mut out = match conv {
+                Conv::Gcn(c) => c.eval(w, x, &input.src, &input.dst),
+                Conv::Gat(c) => c.eval(w, x, sparse, &input.src, &input.dst),
+                Conv::Transformer(c) => {
+                    c.eval(w, x, sparse, &input.edge_attr, &input.src, &input.dst)
+                }
+            };
+            for v in out.as_mut_slice() {
+                *v = ops::elu(*v, 1.0);
+            }
+            ops::layer_norm_rows(&mut out, 1e-5);
+            if jkn {
+                match &mut jk {
+                    None => {
+                        let mut first = arena::zeros(out.rows(), out.cols());
+                        first.as_mut_slice().copy_from_slice(out.as_slice());
+                        jk = Some(first);
+                    }
+                    Some(m) => {
+                        for (mv, &v) in m.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                            if v > *mv {
+                                *mv = v;
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(prev) = h.replace(out) {
+                arena::recycle(prev);
+            }
+        }
+        let h = h.expect("encoder has at least one layer");
+        let node_embs = match jk {
+            Some(m) => {
+                arena::recycle(h);
+                m
+            }
+            None => h,
+        };
+        let graph_emb = match &self.readout {
+            Readout::Sum => {
+                ops::scatter_add_rows(&node_embs, &input.node_graph, input.num_graphs)
+            }
+            Readout::Attention(pool) => {
+                pool.eval(w, &node_embs, &input.node_graph, input.num_graphs)
+            }
+        };
+        arena::recycle(node_embs);
+        graph_emb
     }
 }
 

@@ -1,6 +1,7 @@
 //! Graph Attention Network layer (eqs. 2-3 of the paper; Veličković et al.).
 
-use gdse_tensor::{Graph, Init, NodeId, ParamId, ParamStore};
+use crate::eval::{gather_scale_scatter, with_self_loops, Weights};
+use gdse_tensor::{arena, ops, Graph, Init, Matrix, NodeId, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// Negative slope of the LeakyReLU in the attention logits (GAT default).
@@ -42,10 +43,7 @@ impl GatConv {
     ) -> NodeId {
         let n = g.value(x).rows();
         // Self-loops so every node attends to itself (N(i) ∪ {i}).
-        let mut s: Vec<usize> = src.to_vec();
-        let mut d: Vec<usize> = dst.to_vec();
-        s.extend(0..n);
-        d.extend(0..n);
+        let (s, d) = with_self_loops(src, dst, n);
 
         let wv = g.param(store, self.w);
         let h = g.matmul(x, wv); // [N, out]
@@ -66,12 +64,40 @@ impl GatConv {
         let bv = g.param(store, self.b);
         g.add_bias(agg, bv)
     }
+
+    /// Forward-only [`forward`](Self::forward), bit-identical to it;
+    /// `sparse_x` marks `x` as the one-hot input features.
+    pub fn eval(
+        &self,
+        w: &Weights,
+        x: &Matrix,
+        sparse_x: bool,
+        src: &[usize],
+        dst: &[usize],
+    ) -> Matrix {
+        let n = x.rows();
+        let (s, d) = with_self_loops(src, dst, n);
+        let h = if sparse_x { w.matmul_sparse(x, self.w) } else { w.matmul(x, self.w) };
+        let score_dst = w.matmul(&h, self.a_dst); // [N, 1]
+        let score_src = w.matmul(&h, self.a_src); // [N, 1]
+        let mut logits = arena::zeros(s.len(), 1);
+        for (r, (&si, &di)) in s.iter().zip(&d).enumerate() {
+            let z = score_dst.get(di, 0) + score_src.get(si, 0);
+            logits.set(r, 0, ops::leaky_relu(z, LEAKY_SLOPE));
+        }
+        let alpha = ops::segment_softmax(&logits, &d);
+        let mut agg = gather_scale_scatter(&h, &s, alpha.as_slice(), &d, n);
+        w.add_bias(&mut agg, self.b);
+        for m in [h, score_dst, score_src, logits, alpha] {
+            arena::recycle(m);
+        }
+        agg
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdse_tensor::Matrix;
 
     #[test]
     fn forward_shape() {

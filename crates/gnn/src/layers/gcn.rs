@@ -1,6 +1,7 @@
 //! Graph Convolutional Network layer (eq. 1 of the paper; Kipf & Welling).
 
-use gdse_tensor::{Graph, Init, Matrix, NodeId, ParamId, ParamStore};
+use crate::eval::{gather_scale_scatter, with_self_loops, Weights};
+use gdse_tensor::{arena, Graph, Init, Matrix, NodeId, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// GCN convolution: `h' = sigma(W * sum_j 1/sqrt(d_i d_j) h_j)` over the
@@ -33,22 +34,8 @@ impl GcnConv {
         dst: &[usize],
     ) -> NodeId {
         let n = g.value(x).rows();
-        // Self-loops.
-        let mut s: Vec<usize> = src.to_vec();
-        let mut d: Vec<usize> = dst.to_vec();
-        s.extend(0..n);
-        d.extend(0..n);
-
-        // Symmetric normalization from in-degrees (with self-loops).
-        let mut deg = vec![0.0f32; n];
-        for &i in &d {
-            deg[i] += 1.0;
-        }
-        let coeffs: Vec<f32> = s
-            .iter()
-            .zip(&d)
-            .map(|(&si, &di)| 1.0 / (deg[si] * deg[di]).sqrt())
-            .collect();
+        let (s, d) = with_self_loops(src, dst, n);
+        let coeffs = norm_coeffs(&s, &d, n);
         let coeff_col = g.input(Matrix::col_vector(&coeffs));
 
         let msgs = g.gather_rows(x, &s);
@@ -59,6 +46,27 @@ impl GcnConv {
         let lin = g.matmul(agg, wv);
         g.add_bias(lin, bv)
     }
+
+    /// Forward-only [`forward`](Self::forward), bit-identical to it.
+    pub fn eval(&self, w: &Weights, x: &Matrix, src: &[usize], dst: &[usize]) -> Matrix {
+        let n = x.rows();
+        let (s, d) = with_self_loops(src, dst, n);
+        let agg = gather_scale_scatter(x, &s, &norm_coeffs(&s, &d, n), &d, n);
+        let mut lin = w.matmul(&agg, self.w);
+        arena::recycle(agg);
+        w.add_bias(&mut lin, self.b);
+        lin
+    }
+}
+
+/// Symmetric normalization `1 / sqrt(d_src * d_dst)` per edge, from
+/// in-degrees counted with self-loops.
+fn norm_coeffs(s: &[usize], d: &[usize], n: usize) -> Vec<f32> {
+    let mut deg = vec![0.0f32; n];
+    for &i in d {
+        deg[i] += 1.0;
+    }
+    s.iter().zip(d).map(|(&si, &di)| 1.0 / (deg[si] * deg[di]).sqrt()).collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Multi-layer perceptron.
 
-use gdse_tensor::{Activation, Graph, Init, NodeId, ParamId, ParamStore};
+use crate::eval::Weights;
+use gdse_tensor::{arena, Activation, Graph, Init, Matrix, NodeId, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// A stack of linear layers with ReLU between them (none after the last).
@@ -45,6 +46,21 @@ impl Mlp {
         h
     }
 
+    /// Forward-only [`forward`](Self::forward): the same fused linear
+    /// layers, without a tape.
+    pub fn eval(&self, w: &Weights, x: &Matrix) -> Matrix {
+        let last = self.weights.len() - 1;
+        let mut h: Option<Matrix> = None;
+        for (i, (&wi, &bi)) in self.weights.iter().zip(&self.biases).enumerate() {
+            let act = if i < last { Activation::Relu } else { Activation::None };
+            let next = w.linear(h.as_ref().unwrap_or(x), wi, bi, act);
+            if let Some(prev) = h.replace(next) {
+                arena::recycle(prev);
+            }
+        }
+        h.expect("an MLP has at least one layer")
+    }
+
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
         self.weights.len()
@@ -54,7 +70,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdse_tensor::{Adam, Matrix};
+    use gdse_tensor::Adam;
 
     #[test]
     fn forward_shape() {

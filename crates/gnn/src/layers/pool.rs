@@ -1,8 +1,9 @@
 //! Graph-level readout: sum pooling and the node-attention pooling of
 //! eq. 10, both over batched (disjoint-union) graphs.
 
+use crate::eval::{gather_scale_scatter, Weights};
 use crate::layers::mlp::Mlp;
-use gdse_tensor::{Graph, NodeId, ParamStore};
+use gdse_tensor::{arena, ops, Graph, Matrix, NodeId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// Sum of node embeddings per graph: `[N_total, D] -> [B, D]` where
@@ -61,12 +62,32 @@ impl AttentionPool {
         let graph_emb = g.scatter_add_rows(weighted, node_graph, num_graphs);
         PooledGraph { graph_emb, attention }
     }
+
+    /// Forward-only [`forward`](Self::forward): the per-graph embeddings
+    /// `[B, D]`, bit-identical to its `graph_emb`.
+    pub fn eval(
+        &self,
+        w: &Weights,
+        node_embs: &Matrix,
+        node_graph: &[usize],
+        num_graphs: usize,
+    ) -> Matrix {
+        let scores = self.score_mlp.eval(w, node_embs); // [N, 1]
+        let attention = ops::segment_softmax(&scores, node_graph);
+        let values = self.value_mlp.eval(w, node_embs); // [N, D]
+        let nodes: Vec<usize> = (0..values.rows()).collect();
+        let graph_emb =
+            gather_scale_scatter(&values, &nodes, attention.as_slice(), node_graph, num_graphs);
+        for m in [scores, attention, values] {
+            arena::recycle(m);
+        }
+        graph_emb
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdse_tensor::Matrix;
 
     #[test]
     fn attention_sums_to_one_per_graph() {

@@ -8,6 +8,10 @@
 //! node-attention graph readout, and per-objective MLP prediction heads —
 //! exactly the architecture of Fig. 4.
 //!
+//! Training runs the layers on the tape ([`PredictionModel::forward`]);
+//! inference runs the same layers through the tape-free evaluator
+//! ([`PredictionModel::predict`], see [`eval`]), which produces the same bits.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -32,12 +36,14 @@
 
 pub mod artifact;
 mod encoder;
+pub mod eval;
 mod input;
 pub mod layers;
 mod model;
 
 pub use artifact::{Artifact, ArtifactError};
 pub use encoder::{ConvKind, EncoderOutput, GnnEncoder};
+pub use eval::Weights;
 pub use input::{GraphBatch, GraphInput};
 pub use model::{
     encode_pragmas, ModelConfig, ModelKind, ModelOutput, PredictionModel, MAX_SLOTS, SLOT_FEATS,

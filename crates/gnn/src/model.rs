@@ -4,10 +4,10 @@ use crate::encoder::{ConvKind, EncoderOutput, GnnEncoder};
 use crate::input::{GraphBatch, GraphInput};
 use crate::layers::mlp::Mlp;
 use design_space::{DesignPoint, PragmaValue};
-use gdse_tensor::{Graph, Matrix, NodeId, ParamStore, QuantMatrix, QuantParamSet};
+use crate::eval::Weights;
+use gdse_tensor::{arena, ops, Graph, Matrix, NodeId, ParamStore, QuantMatrix, QuantParamSet};
 use proggraph::NODE_FEATS;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Model variants evaluated in Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -298,39 +298,11 @@ impl PredictionModel {
     }
 
     /// Runs a forward pass on a batch of designs (M1 reads only the pragma
-    /// encodings; M2-M7 read the graphs).
+    /// encodings; M2-M7 read the graphs), recording the tape that training
+    /// needs for `backward`. Inference uses [`predict`](Self::predict).
     pub fn forward(&self, batch: &GraphBatch) -> ModelOutput {
-        self.forward_on(Graph::new(), batch)
-    }
-
-    /// Calibrates an int8 [`QuantParamSet`] from the current weights.
-    ///
-    /// Every weight matrix (`rows >= 2`) gets per-tensor symmetric int8
-    /// quantization; biases and any other `[1, F]` parameters stay f32 —
-    /// they are tiny, and keeping them exact costs nothing while removing a
-    /// quantization error term from every layer.
-    pub fn quantize(&self) -> QuantParamSet {
-        let mut qs = QuantParamSet::new();
-        for id in self.store.ids() {
-            let v = self.store.value(id);
-            if v.rows() >= 2 {
-                qs.insert(id, QuantMatrix::quantize(v));
-            }
-        }
-        qs
-    }
-
-    /// Forward pass routing every calibrated weight through the int8
-    /// kernel. The returned tape is **forward-only**: quantized ops record
-    /// no gradient function, so `backward` on it stops at every such op.
-    /// Use [`quantize`](Self::quantize) to build the set once and share it
-    /// across calls.
-    pub fn forward_quant(&self, batch: &GraphBatch, quant: &Arc<QuantParamSet>) -> ModelOutput {
-        self.forward_on(Graph::with_quant(Arc::clone(quant)), batch)
-    }
-
-    fn forward_on(&self, mut g: Graph, batch: &GraphBatch) -> ModelOutput {
         let started = std::time::Instant::now();
+        let mut g = Graph::new();
         let (graph_emb, attention) = match &self.body {
             Body::PragmaMlp(trunk) => {
                 let x = g.input(batch.pragma_x.clone());
@@ -361,12 +333,61 @@ impl PredictionModel {
             .iter()
             .map(|head| head.forward(&mut g, &self.store, graph_emb))
             .collect();
-        gdse_obs::metrics::counter_inc("gnn.forwards");
-        gdse_obs::metrics::observe_us(
-            "gnn.forward_us",
-            started.elapsed().as_micros() as u64,
-        );
+        book_forward(started);
         ModelOutput { graph: g, outputs, graph_emb, attention }
+    }
+
+    /// Calibrates an int8 [`QuantParamSet`] from the current weights.
+    ///
+    /// Every weight matrix (`rows >= 2`) gets per-tensor symmetric int8
+    /// quantization; biases and any other `[1, F]` parameters stay f32 —
+    /// they are tiny, and keeping them exact costs nothing while removing a
+    /// quantization error term from every layer.
+    pub fn quantize(&self) -> QuantParamSet {
+        let mut qs = QuantParamSet::new();
+        for id in self.store.ids() {
+            let v = self.store.value(id);
+            if v.rows() >= 2 {
+                qs.insert(id, QuantMatrix::quantize(v));
+            }
+        }
+        qs
+    }
+
+    /// Predicts a batch of designs without a tape: one `[B, 1]` matrix per
+    /// head, in head order, bit-identical to [`forward`](Self::forward)'s
+    /// outputs (see [`crate::eval`]).
+    pub fn predict(&self, batch: &GraphBatch) -> Vec<Matrix> {
+        self.evaluate(&Weights::f32(&self.store), batch)
+    }
+
+    /// [`predict`](Self::predict) with every weight calibrated in `quant`
+    /// (see [`quantize`](Self::quantize)) served by the int8 kernel.
+    pub fn predict_quant(&self, batch: &GraphBatch, quant: &QuantParamSet) -> Vec<Matrix> {
+        self.evaluate(&Weights::int8(&self.store, quant), batch)
+    }
+
+    fn evaluate(&self, w: &Weights, batch: &GraphBatch) -> Vec<Matrix> {
+        let started = std::time::Instant::now();
+        let graph_emb = match &self.body {
+            Body::PragmaMlp(trunk) => {
+                let mut h = trunk.eval(w, &batch.pragma_x);
+                relu_in_place(&mut h);
+                h
+            }
+            Body::ContextMlp { node_mlp } => {
+                let mut h = node_mlp.eval(w, &batch.x);
+                relu_in_place(&mut h);
+                let pooled = ops::scatter_add_rows(&h, &batch.node_graph, batch.num_graphs);
+                arena::recycle(h);
+                pooled
+            }
+            Body::Gnn(enc) => enc.eval(w, batch),
+        };
+        let outputs = self.heads.iter().map(|head| head.eval(w, &graph_emb)).collect();
+        arena::recycle(graph_emb);
+        book_forward(started);
+        outputs
     }
 
     /// Convenience forward pass on a single design.
@@ -374,22 +395,17 @@ impl PredictionModel {
         self.forward(&GraphBatch::single(input, point))
     }
 
-    /// Forward passes over `items` in fixed-size chunks, returning one
-    /// [`ModelOutput`] per chunk, in input order.
-    ///
-    /// This is the batch-inference entry point for large candidate
-    /// frontiers: chunking bounds the tensor workspace of a single forward
-    /// pass, and because the pass is item-independent (each row of the
-    /// batch only reads its own features), any chunk size produces the
-    /// same per-item outputs as one monolithic batch — callers may pick
-    /// the chunk to match their parallelism or memory budget.
-    pub fn forward_chunked(
-        &self,
-        items: &[(&GraphInput, &DesignPoint)],
-        chunk: usize,
-    ) -> Vec<ModelOutput> {
-        let chunk = chunk.max(1);
-        items.chunks(chunk).map(|c| self.forward(&GraphBatch::new(c))).collect()
+}
+
+/// Books one model pass into `gnn.forwards` / `gnn.forward_us`.
+fn book_forward(started: std::time::Instant) {
+    gdse_obs::metrics::counter_inc("gnn.forwards");
+    gdse_obs::metrics::observe_us("gnn.forward_us", started.elapsed().as_micros() as u64);
+}
+
+fn relu_in_place(m: &mut Matrix) {
+    for v in m.as_mut_slice() {
+        *v = v.max(0.0);
     }
 }
 
@@ -466,27 +482,40 @@ mod tests {
     }
 
     #[test]
-    fn chunked_forward_matches_one_monolithic_batch() {
+    fn predict_in_any_chunk_size_matches_one_batch_bitwise() {
         let (input, p0, p1) = sample();
         let model = PredictionModel::new(ModelKind::Transformer, ModelConfig::small(), &["latency"]);
         let items: Vec<(&GraphInput, &DesignPoint)> =
             vec![(&input, &p0), (&input, &p1), (&input, &p0), (&input, &p1), (&input, &p0)];
 
-        let mono = model.forward(&GraphBatch::new(&items));
+        let mono = model.predict(&GraphBatch::new(&items));
         for chunk in [1, 2, 5, 16] {
-            let outs = model.forward_chunked(&items, chunk);
-            assert_eq!(outs.len(), items.len().div_ceil(chunk.max(1)), "chunk={chunk}");
-            let mut i = 0;
-            for out in &outs {
-                let rows = out.graph.value(out.outputs[0]).shape().0;
-                for r in 0..rows {
-                    let got = out.graph.value(out.outputs[0]).get(r, 0);
-                    let want = mono.graph.value(mono.outputs[0]).get(i, 0);
-                    assert_eq!(got.to_bits(), want.to_bits(), "chunk={chunk} item={i}");
-                    i += 1;
+            let got: Vec<u32> = items
+                .chunks(chunk)
+                .flat_map(|c| model.predict(&GraphBatch::new(c)).remove(0).into_vec())
+                .map(f32::to_bits)
+                .collect();
+            let want: Vec<u32> = mono[0].as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "chunk={chunk}");
+        }
+    }
+
+    #[test]
+    fn predict_matches_the_tape_bitwise_on_every_kind() {
+        let (input, p0, p1) = sample();
+        let batch = GraphBatch::new(&[(&input, &p0), (&input, &p1), (&input, &p0)]);
+        for kind in ModelKind::ALL {
+            let model = PredictionModel::new(kind, ModelConfig::small(), &["latency", "dsp"]);
+            let tape = model.forward(&batch);
+            let eval = model.predict(&batch);
+            assert_eq!(eval.len(), tape.outputs.len(), "{kind:?}");
+            for (m, &o) in eval.iter().zip(&tape.outputs) {
+                let (a, b) = (m.as_slice(), tape.graph.value(o).as_slice());
+                assert_eq!(a.len(), b.len(), "{kind:?}");
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{kind:?}");
                 }
             }
-            assert_eq!(i, items.len(), "chunk={chunk} covers every item");
         }
     }
 
@@ -510,10 +539,10 @@ mod tests {
         let (input, p0, _) = sample();
         for kind in ModelKind::ALL {
             let model = PredictionModel::new(kind, ModelConfig::small(), &["latency", "dsp"]);
-            let qs = Arc::new(model.quantize());
+            let qs = model.quantize();
             let batch = GraphBatch::single(&input, &p0);
             let f = model.forward(&batch).values();
-            let q = model.forward_quant(&batch, &qs).values();
+            let q: Vec<f32> = model.predict_quant(&batch, &qs).iter().map(Matrix::scalar).collect();
             assert_eq!(f.len(), q.len(), "{kind:?}");
             for (a, b) in f.iter().zip(&q) {
                 assert!(b.is_finite(), "{kind:?}");

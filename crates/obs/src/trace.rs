@@ -16,7 +16,8 @@
 //! the convention lives in the serve crate): `ingress` (read + parse),
 //! `route` (shard routing / enqueue), `queue_wait` (enqueued → popped),
 //! `batch_wait` (popped → backend call), `infer` (the backend call),
-//! `write` (response serialization + socket write).
+//! `reply` (answer handed back to the connection thread), `write` (response
+//! serialization + socket write).
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

@@ -202,6 +202,8 @@ pub(crate) struct Answer {
     pub response: Response,
     pub trace: obs::trace::TraceBuilder,
     pub replica: Option<usize>,
+    /// When the answer left the replica: the start of the `reply` span.
+    pub sent: Instant,
 }
 
 /// Per-replica shared state: the routing/queueing surface of one replica.
@@ -565,7 +567,7 @@ pub(crate) fn answer(shared: &Shared, job: Job, response: Response) {
         }
     }
     let Job { reply, trace, replica, .. } = job;
-    let _ = reply.send(Answer { response, trace, replica });
+    let _ = reply.send(Answer { response, trace, replica, sent: Instant::now() });
     if let Some(limit) = shared.config.max_requests {
         let answered =
             shared.served.load(Ordering::SeqCst) + shared.errors.load(Ordering::SeqCst);

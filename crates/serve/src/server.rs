@@ -43,6 +43,7 @@
 //! | `serve.trace.queue_wait_us` | histogram | enqueued → popped by a replica (also per `{kernel}`/`{replica}`) |
 //! | `serve.trace.batch_wait_us` | histogram | popped → backend dispatch (also per `{kernel}`/`{replica}`) |
 //! | `serve.trace.infer_us` | histogram | the backend call itself (also per `{kernel}`/`{replica}`) |
+//! | `serve.trace.reply_us` | histogram | answer handed from the replica to the connection thread |
 //! | `serve.trace.write_us` | histogram | response serialization + socket write (also per `{kernel}`/`{replica}`) |
 //! | `serve.trace.slow` | counter | traces over [`ServeConfig::trace_slow`], each dumped at Warn |
 //!
@@ -630,7 +631,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 // trace is still in flight, so there is nothing to seal.
                 let (response, sealed) = match shared.submit(job, None) {
                     Ok(()) => match rx.recv_timeout(config.request_timeout) {
-                        Ok(ans) => (ans.response, Some((ans.trace, ans.replica))),
+                        Ok(ans) => (ans.response, Some((ans.trace, ans.replica, ans.sent))),
                         Err(_) if shared.shutdown.load(Ordering::SeqCst) => (
                             Response::Error {
                                 id,
@@ -655,7 +656,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         let retry_after_ms = config.retry_after.as_millis() as u64;
                         pool::answer(shared, job, Response::Rejected { id, retry_after_ms });
                         match rx.try_recv() {
-                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica))),
+                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica, ans.sent))),
                             Err(_) => (Response::Rejected { id, retry_after_ms }, None),
                         }
                     }
@@ -667,7 +668,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         };
                         pool::answer(shared, job, resp.clone());
                         match rx.try_recv() {
-                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica))),
+                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica, ans.sent))),
                             Err(_) => (resp, None),
                         }
                     }
@@ -679,14 +680,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         };
                         pool::answer(shared, job, resp.clone());
                         match rx.try_recv() {
-                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica))),
+                            Ok(ans) => (ans.response, Some((ans.trace, ans.replica, ans.sent))),
                             Err(_) => (resp, None),
                         }
                     }
                 };
                 let write_start = Instant::now();
                 let wrote = write_line_traced(&mut writer, &response, &trace_id);
-                if let Some((mut tb, replica)) = sealed {
+                if let Some((mut tb, replica, sent)) = sealed {
+                    tb.span("reply", sent, write_start);
                     tb.span("write", write_start, Instant::now());
                     let epoch = match &response {
                         Response::Ok { epoch, .. } => *epoch,

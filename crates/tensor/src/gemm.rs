@@ -13,7 +13,10 @@
 //!   per-element zero test, so the inner loop is straight-line multiply-add
 //!   code the compiler can vectorize.
 //! - Row tails run a 1 x `NR` variant; small or skinny products fall back to
-//!   a branchless scalar i-k-j loop that shares the epilogue.
+//!   a scalar i-k-j loop, which [`gemm_sparse_lhs`] also uses to skip the
+//!   zeros of one-hot inputs.
+//! - The bias + activation epilogue is a separate pass over the finished
+//!   output, so every caller shares one accumulation loop.
 //!
 //! **Bit-identity contract:** every output element is accumulated over the
 //! full `k` extent in increasing-`k` order with individual `f32` adds — the
@@ -22,8 +25,8 @@
 //! reference kernel's `a[i][k] == 0.0` skip only changes results when a zero
 //! meets a non-finite `b` entry, which finite-weight models never produce).
 //! There is deliberately no k-splitting of the accumulation and no FMA
-//! contraction. The fused bias+activation epilogue applies after the full
-//! sum, matching the unfused `matmul -> add_bias -> relu` chain exactly.
+//! contraction. The bias+activation epilogue applies after the full sum,
+//! matching the unfused `matmul -> add_bias -> relu` chain exactly.
 //!
 //! Packing scratch and output buffers come from the thread-local
 //! [`crate::arena`], so steady-state forward passes do not touch the global
@@ -104,44 +107,90 @@ pub fn gemm_bias_act(
         // Packing pays for itself once enough rows reuse the panels; skinny
         // or tiny products take the branchless scalar path instead.
         if m >= MR && n >= 4 && k >= 4 && m * n * k >= 2048 {
-            gemm_packed(a, b, bias, act, &mut out);
+            gemm_packed(a, b, &mut out);
         } else {
-            gemm_scalar(a, b, bias, act, &mut out);
+            gemm_scalar(a, b, false, &mut out);
+        }
+        // The epilogue runs as its own pass over the finished sums: keeping
+        // it out of the kernels leaves one accumulation loop for every
+        // caller, which the compiler keeps in registers (a runtime epilogue
+        // inside the tiles measured ~2x slower).
+        if bias.is_some() || act != Activation::None {
+            for row in out.as_mut_slice().chunks_exact_mut(n) {
+                match bias {
+                    Some(bs) => {
+                        for (o, &bv) in row.iter_mut().zip(bs) {
+                            *o = apply_epilogue(*o, bv, act);
+                        }
+                    }
+                    None => row.iter_mut().for_each(|o| *o = apply_epilogue(*o, 0.0, act)),
+                }
+            }
         }
     }
-    gdse_obs::metrics::counter_add(
-        "infer.gemm_us",
-        started.elapsed().as_micros() as u64,
-    );
-    gdse_obs::metrics::counter_inc("infer.gemm_calls");
+    book_gemm(started);
     out
 }
 
-/// Branchless scalar i-k-j fallback (same accumulation order, same epilogue).
-fn gemm_scalar(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, out: &mut Matrix) {
-    let (k, n) = (a.cols(), b.cols());
+/// Books one GEMM call into `tensor.gemm_ns` / `tensor.gemm_calls`.
+fn book_gemm(started: std::time::Instant) {
+    gdse_obs::metrics::counter_add("tensor.gemm_ns", started.elapsed().as_nanos() as u64);
+    gdse_obs::metrics::counter_inc("tensor.gemm_calls");
+}
+
+/// Matrix product `a * b` for a mostly-zero `a` (one-hot feature rows):
+/// zero entries of `a` are skipped instead of multiplied.
+///
+/// Bit-identical to [`gemm`] whenever `b` is finite. Each output element is
+/// still summed in increasing-`k` order from `+0.0`, and a skipped term is
+/// `±0.0`. Adding `±0.0` leaves a nonzero accumulator unchanged and turns a
+/// `+0.0` accumulator into `+0.0` again, and an accumulator that starts at
+/// `+0.0` can never become `-0.0`, so skipping those terms changes no bit.
+/// A non-finite `b` (where `0 * inf` would be NaN) falls back to [`gemm`].
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn gemm_sparse_lhs(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "gemm shape mismatch: {:?} * {:?}",
+        a.shape(),
+        b.shape()
+    );
+    if b.has_non_finite() {
+        return gemm(a, b);
+    }
+    let started = std::time::Instant::now();
+    let mut out = arena::zeros(a.rows(), b.cols());
+    gemm_scalar(a, b, true, &mut out);
+    book_gemm(started);
+    out
+}
+
+/// Scalar i-k-j product (same accumulation order as the packed path),
+/// optionally skipping zero entries of `a`.
+fn gemm_scalar(a: &Matrix, b: &Matrix, skip_zeros: bool, out: &mut Matrix) {
+    let n = b.cols();
     let bd = b.as_slice();
     for i in 0..a.rows() {
         let a_row = a.row(i);
         let out_row = out.row_mut(i);
         for (kk, &a_ik) in a_row.iter().enumerate() {
+            if skip_zeros && a_ik == 0.0 {
+                continue;
+            }
             let b_row = &bd[kk * n..(kk + 1) * n];
             for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
                 *o += a_ik * b_kj;
             }
         }
-        if bias.is_some() || act != Activation::None {
-            let bs = bias.unwrap_or(&[]);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = apply_epilogue(*o, bs.get(j).copied().unwrap_or(0.0), act);
-            }
-        }
-        let _ = k;
     }
 }
 
 /// Packed panel + register-tiled main path.
-fn gemm_packed(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, out: &mut Matrix) {
+fn gemm_packed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let npanels = n.div_ceil(NR);
     let mut packed = arena::take(npanels * k * NR);
@@ -160,7 +209,9 @@ fn gemm_packed(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, ou
         for p in 0..npanels {
             let panel = &packed[p * k * NR..(p + 1) * k * NR];
             let acc = micro_mr(&rows, panel);
-            store_block(out, &acc, i0, MR, p, n, bias, act);
+            for (r, acc_row) in acc.iter().enumerate() {
+                store_row(out, acc_row, i0 + r, p, n);
+            }
         }
     }
     for i in full_blocks * MR..m {
@@ -168,7 +219,7 @@ fn gemm_packed(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, ou
         for p in 0..npanels {
             let panel = &packed[p * k * NR..(p + 1) * k * NR];
             let acc = micro_1(row, panel);
-            store_row(out, &acc, i, p, n, bias, act);
+            store_row(out, &acc, i, p, n);
         }
     }
     arena::give(packed);
@@ -231,43 +282,12 @@ fn micro_1(row: &[f32], panel: &[f32]) -> [f32; NR] {
     acc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn store_block(
-    out: &mut Matrix,
-    acc: &[[f32; NR]; MR],
-    i0: usize,
-    mr: usize,
-    p: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-) {
-    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        store_row(out, acc_row, i0 + r, p, n, bias, act);
-    }
-}
-
-fn store_row(
-    out: &mut Matrix,
-    acc: &[f32; NR],
-    i: usize,
-    p: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-) {
+/// Copies one accumulator row into columns `p * NR ..` of output row `i`
+/// (tail panels keep only their valid lanes).
+fn store_row(out: &mut Matrix, acc: &[f32; NR], i: usize, p: usize, n: usize) {
     let jb = p * NR;
     let w = NR.min(n - jb);
-    let out_row = &mut out.as_mut_slice()[i * n + jb..i * n + jb + w];
-    match (bias, act) {
-        (None, Activation::None) => out_row.copy_from_slice(&acc[..w]),
-        (bs, act) => {
-            let bs = bs.unwrap_or(&[]);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = apply_epilogue(acc[j], bs.get(jb + j).copied().unwrap_or(0.0), act);
-            }
-        }
-    }
+    out.as_mut_slice()[i * n + jb..i * n + jb + w].copy_from_slice(&acc[..w]);
 }
 
 /// Blocked out-of-place transpose: `dst[j * rows + i] = src[i * cols + j]`,
@@ -402,12 +422,12 @@ mod tests {
 
     #[test]
     fn books_gemm_counters() {
-        let before = gdse_obs::metrics::counter_value("infer.gemm_calls");
+        let before = gdse_obs::metrics::counter_value("tensor.gemm_calls");
         let a = pseudo(8, 8, 1);
         let b = pseudo(8, 8, 2);
         let _ = gemm(&a, &b);
         assert_eq!(
-            gdse_obs::metrics::counter_value("infer.gemm_calls"),
+            gdse_obs::metrics::counter_value("tensor.gemm_calls"),
             before + 1
         );
     }

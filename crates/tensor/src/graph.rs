@@ -10,13 +10,16 @@
 //! segment-softmax (per-destination attention normalization), row-dot
 //! (per-edge attention scores), column-broadcast multiply, concatenation and
 //! elementwise max over a set of tensors (Jumping Knowledge).
+//!
+//! The forward arithmetic of the nonlinear ops (ELU, LayerNorm, sigmoid,
+//! segment-softmax, row-dot, scatter-add) is defined once in [`crate::ops`]
+//! and shared with tape-free inference, so both produce the same bits.
 
 use crate::arena;
 use crate::gemm::{self, Activation};
 use crate::matrix::Matrix;
+use crate::ops;
 use crate::params::{GradStore, ParamId, ParamStore};
-use crate::quant::{self, QuantParamSet};
-use std::sync::Arc;
 
 /// Handle to a value recorded on a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,8 +35,6 @@ enum Backward {
     /// Fused `act(a * w + bias)`; gradients mirror the unfused
     /// matmul / add_bias / activation chain exactly.
     Linear { a: NodeId, w: NodeId, bias: NodeId, act: Activation },
-    /// Result of the int8 serving kernel; forward-only, no gradient.
-    Quantized,
     Add { a: NodeId, b: NodeId },
     Sub { a: NodeId, b: NodeId },
     Mul { a: NodeId, b: NodeId },
@@ -101,46 +102,17 @@ struct Node {
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    quant: Option<Arc<QuantParamSet>>,
 }
 
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::new(), quant: None }
+        Self { nodes: Vec::new() }
     }
 
     /// Creates an empty tape with room for `cap` nodes.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { nodes: Vec::with_capacity(cap), quant: None }
-    }
-
-    /// Creates a tape that serves [`matmul`](Self::matmul) /
-    /// [`linear`](Self::linear) calls whose right-hand side is a parameter in
-    /// `quant` through the int8 kernel.
-    ///
-    /// Quantized results record no gradient function, so a tape built this
-    /// way is **forward-only**: calling [`backward`](Self::backward) will
-    /// silently stop gradient flow at every quantized op.
-    pub fn with_quant(quant: Arc<QuantParamSet>) -> Self {
-        Self { nodes: Vec::new(), quant: Some(quant) }
-    }
-
-    /// Whether this tape dispatches quantized parameters to the int8 kernel.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// The quantized weights of parameter `rhs`, when this tape carries a
-    /// [`QuantParamSet`] that calibrated it.
-    fn quant_weights(&self, rhs: NodeId) -> Option<(Arc<QuantParamSet>, ParamId)> {
-        let qs = self.quant.as_ref()?;
-        if let Backward::Param(pid) = self.nodes[rhs.0].back {
-            if qs.get(pid).is_some() {
-                return Some((Arc::clone(qs), pid));
-            }
-        }
-        None
+        Self { nodes: Vec::with_capacity(cap) }
     }
 
     fn push(&mut self, value: Matrix, back: Backward) -> NodeId {
@@ -175,19 +147,10 @@ impl Graph {
 
     /// Matrix product.
     ///
-    /// On a tape built with [`with_quant`](Self::with_quant), a product whose
-    /// right-hand side is a calibrated parameter runs through the int8 kernel
-    /// instead (forward-only).
-    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        if let Some((qs, pid)) = self.quant_weights(b) {
-            let qw = qs.get(pid).expect("quant_weights checked presence");
-            let v = quant::linear(self.value(a), qw, None, Activation::None);
-            return self.push(v, Backward::Quantized);
-        }
         let v = self.value(a).matmul(self.value(b));
         self.push(v, Backward::Matmul { a, b })
     }
@@ -196,9 +159,6 @@ impl Graph {
     /// the `matmul` / `add_bias` / activation chain, with no intermediate
     /// tensors materialized. Values and gradients are bit-identical to the
     /// unfused chain.
-    ///
-    /// On a tape built with [`with_quant`](Self::with_quant), a calibrated
-    /// `w` routes the whole fused op through the int8 kernel (forward-only).
     ///
     /// # Panics
     ///
@@ -210,16 +170,6 @@ impl Graph {
             (1, self.value(w).cols()),
             "linear: bias must be [1, F]"
         );
-        if let Some((qs, pid)) = self.quant_weights(w) {
-            let qw = qs.get(pid).expect("quant_weights checked presence");
-            let v = quant::linear(
-                self.value(a),
-                qw,
-                Some(self.value(bias).row(0)),
-                act,
-            );
-            return self.push(v, Backward::Quantized);
-        }
         let v = gemm::gemm_bias_act(
             self.value(a),
             self.value(w),
@@ -296,19 +246,19 @@ impl Graph {
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: NodeId, slope: f32) -> NodeId {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
+        let v = self.value(a).map(|x| ops::leaky_relu(x, slope));
         self.push(v, Backward::LeakyRelu { a, slope })
     }
 
     /// Exponential linear unit.
     pub fn elu(&mut self, a: NodeId, alpha: f32) -> NodeId {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
+        let v = self.value(a).map(|x| ops::elu(x, alpha));
         self.push(v, Backward::Elu { a, alpha })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(stable_sigmoid);
+        let v = self.value(a).map(ops::stable_sigmoid);
         self.push(v, Backward::Sigmoid { a })
     }
 
@@ -324,20 +274,8 @@ impl Graph {
     /// Stabilizes deep message-passing stacks the same way LayerNorm does in
     /// Transformers.
     pub fn layer_norm(&mut self, a: NodeId, eps: f32) -> NodeId {
-        let av = self.value(a);
-        let mut v = av.clone();
-        let mut inv_std = Vec::with_capacity(av.rows());
-        let d = av.cols() as f32;
-        for r in 0..v.rows() {
-            let row = v.row_mut(r);
-            let mean: f32 = row.iter().sum::<f32>() / d;
-            let var: f32 = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d;
-            let istd = 1.0 / (var + eps).sqrt();
-            for x in row.iter_mut() {
-                *x = (*x - mean) * istd;
-            }
-            inv_std.push(istd);
-        }
+        let mut v = self.value(a).clone();
+        let inv_std = ops::layer_norm_rows(&mut v, eps);
         self.push(v, Backward::LayerNorm { a, inv_std })
     }
 
@@ -362,15 +300,7 @@ impl Graph {
     ///
     /// Panics if any index is `>= rows` or `idx.len() != a.rows()`.
     pub fn scatter_add_rows(&mut self, a: NodeId, idx: &[usize], rows: usize) -> NodeId {
-        let av = self.value(a);
-        assert_eq!(idx.len(), av.rows(), "scatter_add_rows: one index per input row");
-        let mut v = Matrix::zeros(rows, av.cols());
-        for (r, &i) in idx.iter().enumerate() {
-            assert!(i < rows, "scatter_add_rows: index {i} out of {rows} rows");
-            for (o, x) in v.row_mut(i).iter_mut().zip(av.row(r)) {
-                *o += x;
-            }
-        }
+        let v = ops::scatter_add_rows(self.value(a), idx, rows);
         self.push(v, Backward::ScatterAddRows { a, idx: idx.to_vec() })
     }
 
@@ -384,9 +314,7 @@ impl Graph {
     ///
     /// Panics if `seg.len() != a.rows()`.
     pub fn segment_softmax(&mut self, a: NodeId, seg: &[usize]) -> NodeId {
-        let av = self.value(a);
-        assert_eq!(seg.len(), av.rows(), "segment_softmax: one segment per row");
-        let v = segment_softmax_forward(av, seg);
+        let v = ops::segment_softmax(self.value(a), seg);
         self.push(v, Backward::SegmentSoftmax { a, seg: seg.to_vec() })
     }
 
@@ -537,7 +465,7 @@ impl Graph {
         for i in (0..=root.0).rev() {
             let Some(g) = adj[i].take() else { continue };
             match &self.nodes[i].back {
-                Backward::Leaf | Backward::Quantized => {}
+                Backward::Leaf => {}
                 Backward::Param(pid) => grads.accumulate(*pid, &g),
                 Backward::Linear { a, w, bias, act } => {
                     // Same float ops as the unfused chain: activation mask
@@ -750,7 +678,7 @@ impl Graph {
                     let zv = &self.nodes[logits.0].value;
                     let n = zv.len() as f32;
                     let gy = g.scalar();
-                    let gz = zv.zip_map(target, |z, y| gy * (stable_sigmoid(z) - y) / n);
+                    let gz = zv.zip_map(target, |z, y| gy * (ops::stable_sigmoid(z) - y) / n);
                     accumulate(&mut adj, *logits, gz);
                 }
             }
@@ -773,46 +701,6 @@ fn accumulate(adj: &mut [Option<Matrix>], id: NodeId, g: Matrix) {
         Some(existing) => existing.add_assign(&g),
         slot @ None => *slot = Some(g),
     }
-}
-
-fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-fn segment_softmax_forward(a: &Matrix, seg: &[usize]) -> Matrix {
-    let num_seg = seg.iter().copied().max().map_or(0, |m| m + 1);
-    let cols = a.cols();
-    // Per-segment, per-column max for numerical stability.
-    let mut seg_max = Matrix::filled(num_seg, cols, f32::NEG_INFINITY);
-    for (r, &s) in seg.iter().enumerate() {
-        for c in 0..cols {
-            let v = a.get(r, c);
-            if v > seg_max.get(s, c) {
-                seg_max.set(s, c, v);
-            }
-        }
-    }
-    let mut out = Matrix::zeros(a.rows(), cols);
-    let mut seg_sum = Matrix::zeros(num_seg, cols);
-    for (r, &s) in seg.iter().enumerate() {
-        for c in 0..cols {
-            let e = (a.get(r, c) - seg_max.get(s, c)).exp();
-            out.set(r, c, e);
-            seg_sum.add_at(s, c, e);
-        }
-    }
-    for (r, &s) in seg.iter().enumerate() {
-        for c in 0..cols {
-            let denom = seg_sum.get(s, c);
-            out.set(r, c, out.get(r, c) / denom);
-        }
-    }
-    out
 }
 
 fn segment_softmax_backward(y: &Matrix, g: &Matrix, seg: &[usize]) -> Matrix {
@@ -1169,53 +1057,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "param {}", store.name(id));
             }
         }
-    }
-
-    #[test]
-    fn quant_tape_dispatches_param_matmuls() {
-        use crate::quant::{QuantMatrix, QuantParamSet};
-
-        let mut store = ParamStore::new(67);
-        let w = store.add("w", 6, 4, Init::XavierUniform);
-        let b = store.add("b", 1, 4, Init::Uniform(0.2));
-        let mut qs = QuantParamSet::new();
-        qs.insert(w, QuantMatrix::quantize(store.value(w)));
-        let qs = Arc::new(qs);
-
-        let x = Matrix::from_fn(3, 6, |i, j| ((i + j) as f32 * 0.21).cos());
-
-        let mut gq = Graph::with_quant(Arc::clone(&qs));
-        assert!(gq.is_quantized());
-        let xq = gq.input(x.clone());
-        let wq = gq.param(&store, w);
-        let bq = gq.param(&store, b);
-        let yq = gq.linear(xq, wq, bq, Activation::Relu);
-
-        let mut gf = Graph::new();
-        let xf = gf.input(x.clone());
-        let wf = gf.param(&store, w);
-        let bf = gf.param(&store, b);
-        let yf = gf.linear(xf, wf, bf, Activation::Relu);
-
-        // Quantized output approximates the f32 output but is not (in
-        // general) identical; with 8 bits over small Xavier weights the
-        // relative drift stays small.
-        let vq = gq.value(yq);
-        let vf = gf.value(yf);
-        let num: f32 = vq
-            .as_slice()
-            .iter()
-            .zip(vf.as_slice())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        let den: f32 = vf.as_slice().iter().map(|v| v * v).sum::<f32>().max(1e-12);
-        assert!((num / den).sqrt() < 0.05, "rel rmse {}", (num / den).sqrt());
-
-        // Matmul with a non-quantized rhs still runs in f32 on a quant tape
-        // and records a differentiable Matmul node.
-        let rhs = gq.input(Matrix::from_fn(6, 2, |i, j| (i + j) as f32 * 0.1));
-        let plain = gq.matmul(xq, rhs);
-        assert!(!gq.value(plain).has_non_finite());
     }
 
     #[test]

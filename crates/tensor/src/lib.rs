@@ -40,6 +40,7 @@ pub mod arena;
 pub mod gemm;
 mod graph;
 mod matrix;
+pub mod ops;
 mod optim;
 mod params;
 pub mod quant;

@@ -343,7 +343,7 @@ impl Matrix {
         for p in parts {
             assert_eq!(p.rows, rows, "hcat row mismatch");
         }
-        let mut out = Matrix::zeros(rows, cols);
+        let mut out = crate::arena::zeros(rows, cols);
         for i in 0..rows {
             let mut offset = 0;
             for p in parts {
@@ -379,7 +379,7 @@ impl Matrix {
     /// Panics if the column counts differ.
     pub fn row_dot(&self, r: usize, other: &Matrix, r_other: usize) -> f32 {
         assert_eq!(self.cols, other.cols, "row_dot column mismatch");
-        self.row(r).iter().zip(other.row(r_other)).map(|(a, b)| a * b).sum()
+        crate::ops::dot(self.row(r), other.row(r_other))
     }
 }
 

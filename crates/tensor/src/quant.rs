@@ -31,10 +31,10 @@
 //! the `MRQ x NRQ` accumulator block in registers for the whole `k`
 //! extent.
 //!
-//! A [`QuantParamSet`] maps [`ParamId`]s to quantized weights; a
-//! [`crate::Graph`] carrying one intercepts `matmul`/`linear` calls whose
-//! right-hand side is a quantized parameter. That makes the int8 path
-//! *forward-only*: intercepted nodes record no gradient function.
+//! A [`QuantParamSet`] maps [`ParamId`]s to quantized weights. The GNN
+//! crate's forward-only evaluator routes every linear step whose weight is
+//! in the set through [`linear`]; the autodiff tape never sees int8
+//! weights.
 
 use crate::gemm::Activation;
 use crate::matrix::Matrix;
@@ -334,11 +334,8 @@ pub fn linear(x: &Matrix, w: &QuantMatrix, bias: Option<&[f32]>, act: Activation
         }
         i += 1;
     }
-    gdse_obs::metrics::counter_add(
-        "infer.quant_us",
-        started.elapsed().as_micros() as u64,
-    );
-    gdse_obs::metrics::counter_inc("infer.quant_calls");
+    gdse_obs::metrics::counter_add("tensor.quant_ns", started.elapsed().as_nanos() as u64);
+    gdse_obs::metrics::counter_inc("tensor.quant_calls");
     out
 }
 
@@ -493,12 +490,12 @@ mod tests {
 
     #[test]
     fn books_quant_counters() {
-        let before = gdse_obs::metrics::counter_value("infer.quant_calls");
+        let before = gdse_obs::metrics::counter_value("tensor.quant_calls");
         let x = pseudo(2, 4, 41);
         let qw = QuantMatrix::quantize(&pseudo(4, 4, 42));
         let _ = linear(&x, &qw, None, Activation::None);
         assert_eq!(
-            gdse_obs::metrics::counter_value("infer.quant_calls"),
+            gdse_obs::metrics::counter_value("tensor.quant_calls"),
             before + 1
         );
     }
