@@ -6,6 +6,7 @@
 
 use gnn_dse::dse::DseConfig;
 use gnn_dse::rounds::{run_rounds, RoundsConfig};
+use gnn_dse::ExecEngine;
 use gnn_dse_bench::{rule, training_setup, Scale};
 use gdse_gnn::ModelKind;
 use gnn_dse_bench::{init_obs_from_env, out};
@@ -46,7 +47,9 @@ fn main() {
     };
 
     let t0 = std::time::Instant::now();
-    let reports = run_rounds(&mut db, &kernels, &cfg);
+    let sim = merlin_sim::MerlinSimulator::new();
+    let reports = run_rounds(&mut db, &kernels, &cfg, &sim, None, false, &ExecEngine::serial())
+        .expect("rounds without a checkpoint path cannot fail");
 
     // Per-kernel speedups per round (the Fig. 7 bars).
     print!("{:<14}", "Kernel");

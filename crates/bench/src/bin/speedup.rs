@@ -23,7 +23,7 @@
 use design_space::DesignSpace;
 use gdse_exec::virtual_makespan;
 use gnn_dse::dbgen;
-use gnn_dse::dse::{run_dse_with_engine, run_dse_with_graph, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::{ExecEngine, Normalizer, Predictor};
 use gnn_dse_bench::{init_obs_from_env, out, rule, Scale};
 use merlin_sim::MerlinSimulator;
@@ -92,7 +92,7 @@ fn main() {
     let engine = ExecEngine::with_jobs(jobs);
     let t = Instant::now();
     let par_db =
-        dbgen::generate_database_par(&engine, &MerlinSimulator::new(), &ks, &budgets, 60, seed);
+        dbgen::generate_database_with(&engine, &MerlinSimulator::new(), &ks, &budgets, 60, seed);
     let dbgen_par_wall = t.elapsed();
 
     let serial_bytes = serde_json::to_string(serial_db.entries()).expect("serialize");
@@ -135,7 +135,8 @@ fn main() {
     let cfg = DseConfig::default();
 
     let t = Instant::now();
-    let serial_dse = run_dse_with_graph(&predictor, &kernel, &space, &graph, &cfg);
+    let serial = ExecEngine::serial();
+    let serial_dse = run_dse_with_engine(&predictor, &kernel, &space, &graph, &cfg, &serial);
     let dse_serial_wall = t.elapsed();
 
     let t = Instant::now();

@@ -9,13 +9,14 @@
 //! accounting the paper uses.
 
 use design_space::DesignSpace;
-use gnn_dse::dse::{run_dse, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::explorer::{BottleneckExplorer, Budget};
-use gnn_dse::{Database, Predictor};
+use gnn_dse::{Database, ExecEngine, Explorer, Objective, Predictor};
 use gnn_dse_bench::{human_u128, rule, training_setup, Scale};
 use gdse_gnn::ModelKind;
 use hls_ir::kernels;
 use merlin_sim::MerlinSimulator;
+use proggraph::build_graph_bidirectional;
 use gnn_dse_bench::{init_obs_from_env, out};
 
 /// AutoDSE gets up to 21 hours of modelled tool time (§5.4).
@@ -73,7 +74,9 @@ fn main() {
         let space = DesignSpace::from_kernel(&kernel);
 
         // --- GNN-DSE ---
-        let outcome = run_dse(&predictor, &kernel, &space, &dse_cfg);
+        let graph = build_graph_bidirectional(&kernel, &space);
+        let serial = ExecEngine::serial();
+        let outcome = run_dse_with_engine(&predictor, &kernel, &space, &graph, &dse_cfg, &serial);
         // Validate candidates in parallel batches of 10: each batch costs its
         // slowest synthesis; stop as soon as a batch yields a valid design.
         let mut best_cycles = u64::MAX;
@@ -95,15 +98,14 @@ fn main() {
 
         // --- AutoDSE baseline ---
         let mut baseline_db = Database::new();
-        let autodse = BottleneckExplorer::new();
-        let log = gnn_dse::Explorer::explore_scored(
-            &autodse,
+        let log = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &kernel,
             &space,
             &mut baseline_db,
             Budget::evals(200),
-            &gnn_dse::Explorer::objective(&autodse),
+            &Objective::latency(),
         );
         let autodse_minutes = log.tool_minutes.min(AUTODSE_LIMIT_MINUTES);
         let autodse_best = log.best.as_ref().map(|(_, r)| r.cycles).unwrap_or(u64::MAX);

@@ -19,12 +19,13 @@
 //!
 //! and the envelope's metadata document is an [`ArtifactMeta`] as JSON.
 //!
-//! **Quantized artifacts** (written by `gnndse train --save-quant`, served
-//! by `gnndse serve --quant`) use a *version-2* envelope whose model
-//! sections are named `classifier_q` / `regressor_q` / `bram_q` and carry
+//! Every artifact is written in the *version-2* envelope; version-1 files
+//! are still read. **Quantized artifacts** (written by `gnndse train
+//! --save-quant`, served by `gnndse serve --quant`) name their model
+//! sections `classifier_q` / `regressor_q` / `bram_q` and carry
 //! [`gdse_gnn::artifact::encode_model_quant`] payloads: int8 weights plus
-//! per-tensor scales, ~4x smaller than f32. The envelope version bump means
-//! builds that predate quantization reject such files with a typed
+//! per-tensor scales, ~4x smaller than f32. Builds that predate
+//! quantization reject v2 files with a typed
 //! [`ArtifactError::UnsupportedVersion`] instead of misreading them, and
 //! [`ArtifactMeta::quant`] records the flavor in the metadata document.
 
@@ -33,7 +34,6 @@ use crate::error::Error;
 use crate::inference::{Predictor, QuantPredictor};
 use gdse_gnn::artifact::{
     decode_model, decode_model_quant, encode_model, encode_model_quant, Artifact, ArtifactError,
-    FORMAT_V2,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -92,8 +92,8 @@ pub fn encode_predictor(predictor: &Predictor, meta: &ArtifactMeta) -> Result<Ve
     Ok(art.to_bytes())
 }
 
-/// Serializes a quantized predictor + `meta` into **version-2** artifact
-/// bytes (no I/O). `meta.quant` is forced on.
+/// Serializes a quantized predictor + `meta` into artifact bytes (no I/O).
+/// `meta.quant` is forced on.
 pub fn encode_quant_predictor(
     qp: &QuantPredictor,
     meta: &ArtifactMeta,
@@ -101,7 +101,7 @@ pub fn encode_quant_predictor(
     let meta = ArtifactMeta { quant: true, ..meta.clone() };
     let meta_json =
         serde_json::to_string(&meta).map_err(|e| corrupt(format!("metadata: {e}")))?;
-    let mut art = Artifact::new(meta_json).with_version(FORMAT_V2);
+    let mut art = Artifact::new(meta_json);
     let base = qp.base();
     let (cq, rq, bq) = qp.param_sets();
     art.push_section("classifier_q", encode_model_quant(base.classifier(), cq));
@@ -160,8 +160,8 @@ pub fn decode_predictor(bytes: &[u8]) -> Result<(Predictor, ArtifactMeta), Error
     Ok((Predictor::from_parts(classifier, regressor, bram, normalizer), meta))
 }
 
-/// Rebuilds a [`QuantPredictor`] and its metadata from version-2 artifact
-/// bytes written by [`encode_quant_predictor`].
+/// Rebuilds a [`QuantPredictor`] and its metadata from artifact bytes
+/// written by [`encode_quant_predictor`].
 ///
 /// # Errors
 ///
@@ -213,9 +213,8 @@ impl Predictor {
 }
 
 impl QuantPredictor {
-    /// Saves this quantized predictor as a version-2 binary `.gdse`
-    /// artifact, atomically. ~4x smaller than the f32 artifact of the same
-    /// model.
+    /// Saves this quantized predictor as a binary `.gdse` artifact,
+    /// atomically. ~4x smaller than the f32 artifact of the same model.
     ///
     /// # Errors
     ///
@@ -243,6 +242,7 @@ impl QuantPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdse_gnn::artifact::FORMAT_V2;
     use crate::dbgen::generate_database;
     use crate::trainer::TrainConfig;
     use design_space::DesignSpace;
@@ -400,9 +400,9 @@ mod tests {
         let bytes = encode_quant_predictor(&qp, &meta_for(&p)).unwrap();
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         assert_eq!(version, FORMAT_V2);
-        // f32 artifacts keep the v1 wire format older builds understand.
+        // f32 artifacts are written in the same, single envelope version.
         let f32_bytes = encode_predictor(&p, &meta_for(&p)).unwrap();
-        assert_eq!(u32::from_le_bytes(f32_bytes[4..8].try_into().unwrap()), 1);
+        assert_eq!(u32::from_le_bytes(f32_bytes[4..8].try_into().unwrap()), FORMAT_V2);
     }
 
     #[test]

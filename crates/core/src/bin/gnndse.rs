@@ -6,11 +6,10 @@
 //! gnndse report <kernel> <index>                   per-loop synthesis report (II, cycles)
 //! gnndse emit <kernel> [index]                     Merlin-annotated C (placeholders or filled)
 //! gnndse gendb <out.json> [budget] [seed]          generate a training database
-//! gnndse train <db.json> [model.json] [epochs]     train the surrogate (M7);
-//!                                                  --save model.gdse writes a binary artifact,
-//!                                                  --save-quant model_q.gdse an int8 one
-//! gnndse dse <model> <kernel> [top_m]              surrogate-driven DSE (or --model model.gdse)
-//! gnndse predict <model> <kernel> <index>          predict one design point locally
+//! gnndse train <db.json> --save model.gdse         train the surrogate (M7) into a .gdse
+//!                                                  artifact (--save-quant model_q.gdse: int8)
+//! gnndse dse <model.gdse> <kernel> [top_m]         surrogate-driven DSE (or --model model.gdse)
+//! gnndse predict <model.gdse> <kernel> <index>     predict one design point locally
 //! gnndse predict <kernel> <index> --addr H:P       ... or against a running server
 //! gnndse rounds <db.json>                          iterative DSE rounds (Fig. 7);
 //!                                                  --model model.gdse seeds round 1
@@ -24,10 +23,9 @@
 //! gnndse chaos-proxy --upstream H:P                TCP fault-injection proxy (tests/CI)
 //! ```
 //!
-//! Model files are sniffed by content: binary `.gdse` artifacts (written by
-//! `train --save`, validated by checksum, byte-identical predictions after
-//! load) and the legacy JSON model files are both accepted wherever a model
-//! path is expected.
+//! Every model file is a binary `.gdse` artifact (written by `train
+//! --save`, validated by checksum, byte-identical predictions after load);
+//! any other file is rejected with a typed artifact error.
 //!
 //! `gendb` and `rounds` drive a *fault-injected* oracle when `--fault-rate`
 //! is set: evaluations randomly crash / time out / return garbled reports
@@ -52,9 +50,9 @@
 //! queue rejects with a 429-style response instead of stalling, a crashed
 //! or wedged replica restarts under supervision while its requests are
 //! re-routed to siblings, and `--max-requests N` stops the server
-//! gracefully after N answers (useful for smoke tests). With a `.gdse`
-//! artifact, `--reload` watches the file and hot-swaps the model with
-//! zero downtime whenever it changes (a `gnndse admin <addr> reload`
+//! gracefully after N answers (useful for smoke tests). `--reload`
+//! watches the artifact file and hot-swaps the model with zero downtime
+//! whenever it changes (a `gnndse admin <addr> reload`
 //! forces the same swap); a corrupt replacement is rejected — checksum
 //! plus canary prediction — and the previous model keeps serving.
 //! `serve.*` metrics land in `--metrics-out`.
@@ -100,9 +98,9 @@ use gnn_dse::dse::{run_dse_with_engine, CandidateSampler, DseConfig};
 use gnn_dse::harness::{HarnessBuilder, RetryPolicy};
 use gnn_dse::objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget};
 use gnn_dse::parallel::ExecEngine;
-use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
+use gnn_dse::rounds::{run_rounds, RoundsConfig};
 use gnn_dse::trainer::TrainConfig;
-use gnn_dse::{dbgen, ArtifactMeta, ArtifactProvider, Database, PredictService, Predictor, QuantPredictor};
+use gnn_dse::{dbgen, ArtifactMeta, ArtifactProvider, Database, Predictor, QuantPredictor};
 use hls_ir::kernels;
 use merlin_sim::{FaultConfig, MerlinSimulator};
 use proggraph::build_graph_bidirectional;
@@ -239,7 +237,7 @@ fn jobs_arg(flags: &HashMap<String, String>) -> Result<ExecEngine, String> {
         return Err("--jobs must be at least 1".into());
     }
     obs::debug!("exec.jobs", "running on {jobs} workers"; jobs = jobs);
-    Ok(ExecEngine::builder().jobs(jobs).build())
+    Ok(ExecEngine::with_jobs(jobs))
 }
 
 /// The `--objective`/`--budget`/`--explorer` triple shared by `dse` and
@@ -284,30 +282,23 @@ fn fault_args(
     Ok((faults, builder))
 }
 
-/// Loads a model file, sniffing the format by content: binary `.gdse`
-/// artifacts (magic `GDSE`) decode through the checksummed envelope, and
-/// anything else is treated as a legacy JSON model file.
+/// Loads a binary `.gdse` model artifact through the checksummed envelope.
 fn load_model(path: &Path) -> Result<Predictor, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if bytes.starts_with(&gdse_gnn::artifact::MAGIC) {
-        let (predictor, meta) =
-            gnn_dse::decode_predictor(&bytes).map_err(|e| e.to_string())?;
-        obs::info!(
-            "model.loaded",
-            "loaded artifact {} ({}, {} kernels, {} epochs, seed {})",
-            path.display(),
-            meta.model,
-            meta.kernels.len(),
-            meta.epochs,
-            meta.seed;
-            model = meta.model,
-            kernels = meta.kernels.len(),
-            epochs = meta.epochs,
-        );
-        Ok(predictor)
-    } else {
-        Predictor::load(path).map_err(|e| e.to_string())
-    }
+    let (predictor, meta) =
+        Predictor::load_artifact(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    obs::info!(
+        "model.loaded",
+        "loaded artifact {} ({}, {} kernels, {} epochs, seed {})",
+        path.display(),
+        meta.model,
+        meta.kernels.len(),
+        meta.epochs,
+        meta.seed;
+        model = meta.model,
+        kernels = meta.kernels.len(),
+        epochs = meta.epochs,
+    );
+    Ok(predictor)
 }
 
 fn cmd_kernels() -> CliResult {
@@ -439,10 +430,10 @@ fn cmd_gendb(args: &[String]) -> CliResult {
     let engine = jobs_arg(&flags)?;
     let ks = kernels::training_kernels();
     let db = if faults.is_disabled() {
-        dbgen::generate_database_par(&engine, &MerlinSimulator::new(), &ks, &[], budget, seed)
+        dbgen::generate_database_with(&engine, &MerlinSimulator::new(), &ks, &[], budget, seed)
     } else {
         let harness = harness_builder.build();
-        let db = dbgen::generate_database_par(&engine, &harness, &ks, &[], budget, seed);
+        let db = dbgen::generate_database_with(&engine, &harness, &ks, &[], budget, seed);
         let stats = harness.stats();
         obs::info!(
             "gendb.oracle",
@@ -569,7 +560,7 @@ fn cmd_rounds(args: &[String]) -> CliResult {
     );
     let engine = jobs_arg(&flags)?;
     let harness = harness_builder.build();
-    run_rounds_with_engine(
+    run_rounds(
         &mut db,
         &ks,
         &cfg,
@@ -624,22 +615,17 @@ fn cmd_rounds(args: &[String]) -> CliResult {
 
 fn cmd_train(args: &[String]) -> CliResult {
     let (pos, flags) = split_flags(args, &["save", "save-quant", "epochs"], &[])?;
-    let usage = "usage: gnndse train <db.json> [model.json] [epochs] [--epochs N] \
+    let usage = "usage: gnndse train <db.json> [--epochs N] \
                  [--save model.gdse] [--save-quant model_q.gdse]";
-    let [db_path, rest @ ..] = &pos[..] else {
+    let [db_path] = &pos[..] else {
         return Err(usage.into());
     };
-    let model_json = rest.first();
-    let epochs: usize = match rest.get(1) {
-        Some(s) => s.parse().map_err(|e| format!("bad epochs: {e}"))?,
-        None => flag_or(&flags, "epochs", 40)?,
-    };
+    let epochs: usize = flag_or(&flags, "epochs", 40)?;
     let save = flags.get("save").map(PathBuf::from);
     let save_quant = flags.get("save-quant").map(PathBuf::from);
-    if model_json.is_none() && save.is_none() && save_quant.is_none() {
+    if save.is_none() && save_quant.is_none() {
         return Err(format!(
-            "nothing to write: give a model.json positional, --save model.gdse, \
-             or --save-quant model_q.gdse\n{usage}"
+            "nothing to write: give --save model.gdse or --save-quant model_q.gdse\n{usage}"
         ));
     }
     let db = Database::load(Path::new(db_path)).map_err(|e| e.to_string())?;
@@ -652,37 +638,30 @@ fn cmd_train(args: &[String]) -> CliResult {
     println!("training M7 on {} designs for {epochs} epochs...", db.len());
     let model_cfg = ModelConfig { hidden: 32, gnn_layers: 4, mlp_layers: 4, seed: 42 };
     let (p, _) = Predictor::train(&db, &referenced, ModelKind::Full, model_cfg, &cfg);
-    if let Some(model_path) = model_json {
-        p.save(Path::new(model_path)).map_err(|e| e.to_string())?;
-        println!("saved model to {model_path}");
+    let trained_on: Vec<String> = referenced.iter().map(|k| k.name().to_string()).collect();
+    let meta = ArtifactMeta::describe(&p, &trained_on, epochs);
+    if let Some(path) = save {
+        p.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
+        println!(
+            "saved artifact ({}, {} kernels, schema v{}) to {}",
+            meta.model,
+            meta.kernels.len(),
+            meta.schema_version,
+            path.display()
+        );
     }
-    if save.is_some() || save_quant.is_some() {
-        let trained_on: Vec<String> =
-            referenced.iter().map(|k| k.name().to_string()).collect();
-        let meta = ArtifactMeta::describe(&p, &trained_on, epochs);
-        if let Some(path) = save {
-            p.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
-            println!(
-                "saved artifact ({}, {} kernels, schema v{}) to {}",
-                meta.model,
-                meta.kernels.len(),
-                meta.schema_version,
-                path.display()
-            );
-        }
-        if let Some(path) = save_quant {
-            let qp = QuantPredictor::quantize(&p);
-            qp.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
-            let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            println!(
-                "saved int8-quantized artifact ({}, {} kernels, {} KiB) to {} \
-                 — serve it with `gnndse serve --quant`",
-                meta.model,
-                meta.kernels.len(),
-                size / 1024,
-                path.display()
-            );
-        }
+    if let Some(path) = save_quant {
+        let qp = QuantPredictor::quantize(&p);
+        qp.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
+        let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        println!(
+            "saved int8-quantized artifact ({}, {} kernels, {} KiB) to {} \
+             — serve it with `gnndse serve --quant`",
+            meta.model,
+            meta.kernels.len(),
+            size / 1024,
+            path.display()
+        );
     }
     Ok(())
 }
@@ -703,7 +682,7 @@ fn cmd_dse(args: &[String]) -> CliResult {
         ],
         &[],
     )?;
-    let usage = "usage: gnndse dse <model> <kernel> [top_m] (or: gnndse dse <kernel> \
+    let usage = "usage: gnndse dse <model.gdse> <kernel> [top_m] (or: gnndse dse <kernel> \
                  --model model.gdse) [--jobs N] \
                  [--objective latency|weighted|pareto] [--budget dsp=0.8,bram=0.7] \
                  [--explorer sweep|gflow] [--log-level L] \
@@ -799,7 +778,7 @@ fn cmd_dse(args: &[String]) -> CliResult {
 fn cmd_predict(args: &[String]) -> CliResult {
     let (pos, flags) =
         split_flags(args, &["addr", "id", "retries", "timeout", "connect-timeout"], &[])?;
-    let usage = "usage: gnndse predict <model> <kernel> <index> \
+    let usage = "usage: gnndse predict <model.gdse> <kernel> <index> \
                  (or: gnndse predict <kernel> <index> --addr HOST:PORT \
                  [--id N] [--retries N] [--timeout MS] [--connect-timeout MS])";
     if let Some(addr) = flags.get("addr") {
@@ -952,57 +931,29 @@ fn cmd_serve(args: &[String]) -> CliResult {
         ..ServeConfig::default()
     };
 
-    // A binary artifact gets the versioned hot-swap provider; a legacy
-    // JSON model can still be served, but only statically.
-    let bytes =
-        std::fs::read(Path::new(model_path)).map_err(|e| format!("{model_path}: {e}"))?;
-    let server = if bytes.starts_with(&gdse_gnn::artifact::MAGIC) {
-        let provider = {
-            let _io = obs::span::stage("io");
-            if quant {
-                ArtifactProvider::open_quant(Path::new(model_path), per_replica_jobs)?
-            } else {
-                ArtifactProvider::open(Path::new(model_path), per_replica_jobs)?
-            }
-        };
-        let meta = provider.meta();
-        obs::info!(
-            "model.loaded",
-            "loaded artifact {model_path} ({}, {} kernels, {} epochs, seed {}{})",
-            meta.model,
-            meta.kernels.len(),
-            meta.epochs,
-            meta.seed,
-            if meta.quant { ", int8" } else { "" };
-            model = meta.model,
-            kernels = meta.kernels.len(),
-            quant = meta.quant,
-        );
-        Server::bind_with_provider(&addr, config, std::sync::Arc::new(provider))
-            .map_err(|e| e.to_string())?
-    } else {
-        if watch {
-            return Err(
-                "--reload needs a binary .gdse artifact (JSON models are served statically)"
-                    .into(),
-            );
+    let provider = {
+        let _io = obs::span::stage("io");
+        if quant {
+            ArtifactProvider::open_quant(Path::new(model_path), per_replica_jobs)?
+        } else {
+            ArtifactProvider::open(Path::new(model_path), per_replica_jobs)?
         }
-        let predictor = {
-            let _io = obs::span::stage("io");
-            load_model(Path::new(model_path))?
-        };
-        let engine = if per_replica_jobs <= 1 {
-            ExecEngine::serial()
-        } else {
-            ExecEngine::builder().jobs(per_replica_jobs).build()
-        };
-        let service = if quant {
-            PredictService::new_quant(QuantPredictor::quantize(&predictor), engine)
-        } else {
-            PredictService::new(predictor, engine)
-        };
-        Server::bind(&addr, config, service).map_err(|e| e.to_string())?
     };
+    let meta = provider.meta();
+    obs::info!(
+        "model.loaded",
+        "loaded artifact {model_path} ({}, {} kernels, {} epochs, seed {}{})",
+        meta.model,
+        meta.kernels.len(),
+        meta.epochs,
+        meta.seed,
+        if meta.quant { ", int8" } else { "" };
+        model = meta.model,
+        kernels = meta.kernels.len(),
+        quant = meta.quant,
+    );
+    let server = Server::bind_with_provider(&addr, config, std::sync::Arc::new(provider))
+        .map_err(|e| e.to_string())?;
     let local = server.local_addr();
     obs::info!(
         "serve.listening",

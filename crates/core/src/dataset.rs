@@ -56,7 +56,14 @@ impl Normalizer {
     }
 
     /// Inverse of [`Normalizer::transform`].
+    ///
+    /// A non-finite `t` (NaN, +inf or -inf) carries no latency information
+    /// and decodes to `u64::MAX` cycles, the worst possible design, never
+    /// to a plausible value. Finite `t` decodes to at least 1 cycle.
     pub fn inverse(&self, t: f64) -> u64 {
+        if !t.is_finite() {
+            return u64::MAX;
+        }
         (self.norm_factor / 2f64.powf(t)).round().max(1.0) as u64
     }
 }
@@ -264,6 +271,17 @@ mod tests {
             let err = (back as i64 - cycles as i64).unsigned_abs();
             assert!(err <= 1, "{cycles} -> {t} -> {back}");
         }
+    }
+
+    #[test]
+    fn non_finite_inverse_is_the_worst_design() {
+        let n = Normalizer::with_factor(1e6);
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(n.inverse(t), u64::MAX, "t = {t}");
+        }
+        // Finite extremes keep their saturating decode.
+        assert_eq!(n.inverse(f64::MAX), 1);
+        assert_eq!(n.inverse(-f64::MAX), u64::MAX);
     }
 
     #[test]

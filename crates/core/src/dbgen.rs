@@ -4,6 +4,7 @@
 use crate::db::Database;
 use crate::explorer::{BottleneckExplorer, Budget, Explorer, HybridExplorer, RandomExplorer};
 use crate::harness::{EvalBackend, Harness, RetryPolicy};
+use crate::objective::Objective;
 use crate::parallel::ExecEngine;
 use design_space::DesignSpace;
 use gdse_obs as obs;
@@ -36,21 +37,9 @@ pub fn small_budgets() -> Vec<(&'static str, usize)> {
 
 /// Runs the three explorers on one kernel: 40% of the budget to the
 /// bottleneck optimizer, 30% to the hybrid explorer, the rest to random
-/// sampling.
+/// sampling. Every explorer's candidate frontiers are scored through the
+/// engine's worker pool (batched, cached evaluation).
 pub fn explore_kernel<B: EvalBackend + Sync>(
-    sim: &B,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    db: &mut Database,
-    budget: usize,
-    seed: u64,
-) {
-    explore_kernel_with(&ExecEngine::serial(), sim, kernel, space, db, budget, seed);
-}
-
-/// [`explore_kernel`] with every explorer's candidate frontiers scored
-/// through the engine's worker pool (batched, cached evaluation).
-pub fn explore_kernel_with<B: EvalBackend + Sync>(
     engine: &ExecEngine,
     eval: &B,
     kernel: &Kernel,
@@ -60,43 +49,42 @@ pub fn explore_kernel_with<B: EvalBackend + Sync>(
     seed: u64,
 ) {
     let before = db.len();
+    let objective = Objective::latency();
     let greedy_share = (budget * 4) / 10;
     let hybrid_share = (budget * 3) / 10;
-    let greedy = BottleneckExplorer::new();
-    greedy.explore_scored_with(
+    BottleneckExplorer::new().explore(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(greedy_share),
-        &greedy.objective(),
+        &objective,
     );
-    let hybrid = HybridExplorer::with_seed(seed);
-    hybrid.explore_scored_with(
+    HybridExplorer::with_seed(seed).explore(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(hybrid_share),
-        &hybrid.objective(),
+        &objective,
     );
     let used = db.len() - before;
     let rest = budget.saturating_sub(used);
-    let random = RandomExplorer::new(seed ^ 0x9e37_79b9);
-    random.explore_scored_with(
+    RandomExplorer::new(seed ^ 0x9e37_79b9).explore(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(rest),
-        &random.objective(),
+        &objective,
     );
 }
 
-/// Generates the initial database for a set of kernels.
+/// Generates the initial database for a set of kernels with the analytical
+/// simulator on a serial engine.
 ///
 /// `budgets` maps kernel names to evaluation budgets; kernels without an
 /// entry get `default_budget`.
@@ -106,53 +94,27 @@ pub fn generate_database(
     default_budget: usize,
     seed: u64,
 ) -> Database {
-    generate_database_with(&MerlinSimulator::new(), kernels, budgets, default_budget, seed)
+    generate_database_with(
+        &ExecEngine::serial(),
+        &MerlinSimulator::new(),
+        kernels,
+        budgets,
+        default_budget,
+        seed,
+    )
 }
 
-/// [`generate_database`] against an arbitrary evaluation backend (e.g. a
-/// retrying [`Harness`] over a fault-injecting oracle). Points the backend
-/// loses to tool failure are skipped; the rest of the campaign proceeds.
-pub fn generate_database_with<B: EvalBackend + Sync>(
-    eval: &B,
-    kernels: &[Kernel],
-    budgets: &[(&str, usize)],
-    default_budget: usize,
-    seed: u64,
-) -> Database {
-    let _stage = obs::span::stage("explore");
-    let mut db = Database::new();
-    for (i, k) in kernels.iter().enumerate() {
-        let space = DesignSpace::from_kernel(k);
-        let budget = budgets
-            .iter()
-            .find(|(name, _)| *name == k.name())
-            .map(|&(_, b)| b)
-            .unwrap_or(default_budget);
-        let before = db.len();
-        explore_kernel(eval, k, &space, &mut db, budget, seed.wrapping_add(i as u64));
-        obs::debug!(
-            "dbgen.kernel",
-            "{}: {} designs recorded (budget {budget})",
-            k.name(),
-            db.len() - before;
-            kernel = k.name(),
-            budget = budget,
-            recorded = db.len() - before,
-        );
-    }
-    db
-}
-
-/// [`generate_database_with`] across the engine's worker pool: kernels fan
-/// out over the pool (one private database per kernel, merged back in
-/// kernel order), and within each kernel the explorers batch their
-/// candidate frontiers through the same pool.
+/// Generates the initial database against an arbitrary evaluation backend
+/// (e.g. a retrying [`Harness`] over a fault-injecting oracle) across the
+/// engine's worker pool. Points the backend loses to tool failure are
+/// skipped; the rest of the campaign proceeds.
 ///
-/// Because each kernel's exploration is independent — keys in the shared
-/// database are namespaced by kernel name, and the serial generator
-/// processes kernels one after another — the merged database is identical
-/// to the serial one at any worker count.
-pub fn generate_database_par<B: EvalBackend + Sync>(
+/// Kernels fan out over the pool (one private database per kernel, merged
+/// back in kernel order), and within each kernel the explorers batch their
+/// candidate frontiers through the same pool. Each kernel's exploration is
+/// independent — keys in the database are namespaced by kernel name — so
+/// the merged database is identical at any worker count.
+pub fn generate_database_with<B: EvalBackend + Sync>(
     engine: &ExecEngine,
     eval: &B,
     kernels: &[Kernel],
@@ -169,7 +131,7 @@ pub fn generate_database_par<B: EvalBackend + Sync>(
             .map(|&(_, b)| b)
             .unwrap_or(default_budget);
         let mut db = Database::new();
-        explore_kernel_with(engine, eval, k, &space, &mut db, budget, seed.wrapping_add(i as u64));
+        explore_kernel(engine, eval, k, &space, &mut db, budget, seed.wrapping_add(i as u64));
         (db, budget)
     });
 
@@ -242,7 +204,7 @@ mod tests {
         for jobs in [1, 4] {
             let engine = ExecEngine::with_jobs(jobs);
             let par =
-                generate_database_par(&engine, &MerlinSimulator::new(), &ks, &[], 30, 5);
+                generate_database_with(&engine, &MerlinSimulator::new(), &ks, &[], 30, 5);
             assert_eq!(par.entries(), serial.entries(), "jobs={jobs}");
         }
     }
@@ -256,7 +218,7 @@ mod tests {
         for jobs in [1, 8] {
             let engine = ExecEngine::with_jobs(jobs);
             let h = fault_injected_harness(faults, policy);
-            let db = generate_database_par(&engine, &h, &ks, &[], 25, 3);
+            let db = generate_database_with(&engine, &h, &ks, &[], 25, 3);
             match &reference {
                 None => reference = Some(db),
                 Some(r) => assert_eq!(db.entries(), r.entries(), "jobs={jobs}"),

@@ -24,7 +24,7 @@ use crate::pareto::{prediction_axes, strictly_dominates, ParetoArchive};
 use design_space::{order::ordered_slots, rules, DesignPoint, DesignSpace};
 use gdse_obs as obs;
 use hls_ir::Kernel;
-use proggraph::{build_graph_bidirectional, ProgramGraph};
+use proggraph::ProgramGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -135,32 +135,11 @@ pub struct DseOutcome {
     pub used_fallback: bool,
 }
 
-/// Runs the surrogate-driven DSE for one kernel.
-pub fn run_dse(
-    predictor: &Predictor,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    cfg: &DseConfig,
-) -> DseOutcome {
-    let graph = build_graph_bidirectional(kernel, space);
-    run_dse_with_graph(predictor, kernel, space, &graph, cfg)
-}
-
-/// [`run_dse`] with a pre-built program graph (avoids rebuilding across
-/// rounds). Runs serially (a single-worker engine).
-pub fn run_dse_with_graph(
-    predictor: &Predictor,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    graph: &ProgramGraph,
-    cfg: &DseConfig,
-) -> DseOutcome {
-    run_dse_with_engine(predictor, kernel, space, graph, cfg, &ExecEngine::serial())
-}
-
-/// [`run_dse_with_graph`] with every surrogate batch scored through the
-/// engine: misses are chunked across the worker pool and previously
-/// predicted configs come from the engine's prediction cache.
+/// Runs the surrogate-driven DSE for one kernel over its pre-built program
+/// graph, with every surrogate batch scored through the engine: misses are
+/// chunked across the worker pool and previously predicted configs come
+/// from the engine's prediction cache. [`ExecEngine::serial`] is the serial
+/// case.
 ///
 /// Prediction is item-independent, so the outcome is identical at any
 /// worker count — provided the run is not truncated by `cfg.time_limit`
@@ -420,6 +399,13 @@ mod tests {
     use gdse_gnn::{ModelConfig, ModelKind};
     use hls_ir::kernels;
     use merlin_sim::MerlinSimulator;
+    use proggraph::build_graph_bidirectional;
+
+    /// Serial DSE over a freshly built graph.
+    fn dse(p: &Predictor, k: &Kernel, space: &DesignSpace, cfg: &DseConfig) -> DseOutcome {
+        let graph = build_graph_bidirectional(k, space);
+        run_dse_with_engine(p, k, space, &graph, cfg, &ExecEngine::serial())
+    }
 
     fn trained(kernel_fn: fn() -> Kernel, budget: usize) -> (Predictor, Kernel, DesignSpace) {
         let k = kernel_fn();
@@ -497,7 +483,7 @@ mod tests {
     #[test]
     fn exhaustive_dse_covers_small_space() {
         let (p, k, space) = trained(kernels::aes, 30);
-        let out = run_dse(&p, &k, &space, &DseConfig::quick());
+        let out = dse(&p, &k, &space, &DseConfig::quick());
         assert!(out.exhaustive);
         assert!(out.inferences > 0);
         assert!(out.top.len() <= 10);
@@ -510,7 +496,7 @@ mod tests {
         let mut cfg = DseConfig::quick();
         cfg.exhaustive_limit = 10; // force the heuristic path
         cfg.max_inferences = 300;
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = dse(&p, &k, &space, &cfg);
         assert!(!out.exhaustive);
         assert!(out.inferences <= 300 + cfg.batch_size);
     }
@@ -520,7 +506,7 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
         let graph = build_graph_bidirectional(&k, &space);
         let cfg = DseConfig::quick();
-        let serial = run_dse_with_graph(&p, &k, &space, &graph, &cfg);
+        let serial = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &ExecEngine::serial());
         for jobs in [4, 8] {
             let engine = ExecEngine::with_jobs(jobs);
             let par = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &engine);
@@ -547,7 +533,7 @@ mod tests {
         cfg.exhaustive_limit = 10; // force the heuristic path
         cfg.max_inferences = 400;
         cfg.sampler = CandidateSampler::Gflow;
-        let serial = run_dse_with_graph(&p, &k, &space, &graph, &cfg);
+        let serial = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &ExecEngine::serial());
         assert!(!serial.exhaustive);
         assert!(serial.inferences <= cfg.max_inferences + cfg.batch_size);
         assert!(!serial.top.is_empty());
@@ -562,7 +548,7 @@ mod tests {
     #[test]
     fn top_designs_are_sorted_by_predicted_cycles() {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
-        let out = run_dse(&p, &k, &space, &DseConfig::quick());
+        let out = dse(&p, &k, &space, &DseConfig::quick());
         for w in out.top.windows(2) {
             assert!(w[0].1.cycles <= w[1].1.cycles);
         }
@@ -576,7 +562,7 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 30);
         let mut cfg = DseConfig::quick();
         cfg.util_threshold = -1.0;
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = dse(&p, &k, &space, &cfg);
         assert!(!out.top.is_empty(), "fallback candidates expected");
         assert!(out.used_fallback);
         for w in out.top.windows(2) {
@@ -589,7 +575,7 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
         let mut cfg = DseConfig::quick();
         cfg.objective = Objective::pareto();
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = dse(&p, &k, &space, &cfg);
         if out.used_fallback {
             return; // nothing usable predicted; nothing to check
         }
@@ -612,7 +598,7 @@ mod tests {
         let mut cfg = DseConfig::quick();
         let budget = ResourceBudget::parse("dsp=0.6,bram=0.6").unwrap();
         cfg.objective = Objective::pareto().with_budget(budget);
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = dse(&p, &k, &space, &cfg);
         if !out.used_fallback {
             for (_, pred) in &out.top {
                 assert!(budget.admits(&pred.util), "top candidate violates the budget");

@@ -23,9 +23,6 @@ use rand::{Rng, SeedableRng};
 /// rejection so the walk can traverse them.
 #[derive(Debug, Clone)]
 pub struct AnnealingExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// Initial temperature as a fraction of the default design's latency.
     pub initial_temp_frac: f64,
     /// Geometric cooling factor per evaluation.
@@ -36,7 +33,7 @@ pub struct AnnealingExplorer {
 
 impl Default for AnnealingExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, initial_temp_frac: 0.5, cooling: 0.97, seed: 0 }
+        Self { initial_temp_frac: 0.5, cooling: 0.97, seed: 0 }
     }
 }
 
@@ -63,7 +60,7 @@ impl Explorer for AnnealingExplorer {
     /// through the engine still buys the oracle cache and the merged
     /// per-worker accounting, and lets a parallel campaign share one engine
     /// across all explorers.
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -154,10 +151,6 @@ impl Explorer for AnnealingExplorer {
         );
         log
     }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +165,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = AnnealingExplorer::with_seed(3).explore_scored(
+        let log = AnnealingExplorer::with_seed(3).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -192,7 +186,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = AnnealingExplorer::with_seed(5).explore_scored(
+        let log = AnnealingExplorer::with_seed(5).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -212,7 +207,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = AnnealingExplorer::with_seed(9).explore_scored(
+        let serial = AnnealingExplorer::with_seed(9).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -224,7 +220,7 @@ mod tests {
         for jobs in [1, 4] {
             let engine = ExecEngine::with_jobs(jobs);
             let mut db = Database::new();
-            let log = AnnealingExplorer::with_seed(9).explore_scored_with(
+            let log = AnnealingExplorer::with_seed(9).explore(
                 &engine,
                 &sim,
                 &k,
@@ -248,9 +244,9 @@ mod tests {
         let mut b = Database::new();
         let obj = Objective::latency();
         let la = AnnealingExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut a, Budget::evals(30), &obj);
+            .explore(&ExecEngine::serial(), &sim, &k, &space, &mut a, Budget::evals(30), &obj);
         let lb = AnnealingExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut b, Budget::evals(30), &obj);
+            .explore(&ExecEngine::serial(), &sim, &k, &space, &mut b, Budget::evals(30), &obj);
         assert_eq!(a.entries(), b.entries());
         assert_eq!(la.best.map(|(_, r)| r.cycles), lb.best.map(|(_, r)| r.cycles));
     }

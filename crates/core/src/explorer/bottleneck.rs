@@ -46,25 +46,14 @@ pub struct ExplorationLog {
 /// configuration (AutoDSE similarly keeps exploring new bottleneck
 /// hypotheses for its full time budget instead of stopping at the first
 /// local optimum).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BottleneckExplorer {
-    /// Designs must keep every utilization below this threshold (eq. 7).
-    /// Used by [`Explorer::objective`] for the deprecated scalar entry
-    /// points; the scored entry points take the threshold from their
-    /// [`Objective`] argument.
-    pub util_threshold: f64,
     /// Seed for the restart points.
     pub seed: u64,
 }
 
-impl Default for BottleneckExplorer {
-    fn default() -> Self {
-        Self { util_threshold: 0.8, seed: 0 }
-    }
-}
-
 impl BottleneckExplorer {
-    /// Creates an explorer with the default 0.8 utilization constraint.
+    /// Creates an explorer with restart seed 0.
     pub fn new() -> Self {
         Self::default()
     }
@@ -177,7 +166,7 @@ impl Explorer for BottleneckExplorer {
     /// slot's candidate frontier is scored through the engine's worker pool
     /// (batched, cached evaluation); with an infallible backend any worker
     /// count visits exactly the same points in the same order.
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -238,10 +227,6 @@ impl Explorer for BottleneckExplorer {
         );
         log
     }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +242,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -283,7 +269,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -303,7 +290,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = BottleneckExplorer::new().explore_scored(
+        let serial = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -315,7 +303,7 @@ mod tests {
         for jobs in [1, 4] {
             let engine = ExecEngine::with_jobs(jobs);
             let mut db = Database::new();
-            let log = BottleneckExplorer::new().explore_scored_with(
+            let log = BottleneckExplorer::new().explore(
                 &engine,
                 &sim,
                 &k,
@@ -341,7 +329,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -362,7 +351,8 @@ mod tests {
         let mut db = Database::new();
         let budget = ResourceBudget::parse("dsp=0.5,lut=0.5").unwrap();
         let obj = Objective::latency().with_budget(budget);
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,

@@ -125,9 +125,6 @@ impl GFlowSampler {
 /// pluggable wherever the §4.1 explorers are.
 #[derive(Debug, Clone)]
 pub struct GFlowExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// RNG seed (sampling stream).
     pub seed: u64,
     /// Trajectories sampled per wave. A constant (never a function of the
@@ -139,7 +136,7 @@ pub struct GFlowExplorer {
 
 impl Default for GFlowExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, seed: 0, wave: 32, lr: 0.05 }
+        Self { seed: 0, wave: 32, lr: 0.05 }
     }
 }
 
@@ -168,7 +165,7 @@ impl Explorer for GFlowExplorer {
     /// update per trajectory. Duplicate and database-hit trajectories
     /// still train the policy (their result is known and free), they just
     /// spend no budget.
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -271,10 +268,6 @@ impl Explorer for GFlowExplorer {
         );
         log
     }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +301,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = GFlowExplorer::with_seed(3).explore_scored(
+        let log = GFlowExplorer::with_seed(3).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -333,7 +327,7 @@ mod tests {
         for jobs in [1, 4] {
             let engine = ExecEngine::with_jobs(jobs);
             let mut db = Database::new();
-            let log = GFlowExplorer::with_seed(3).explore_scored_with(
+            let log = GFlowExplorer::with_seed(3).explore(
                 &engine,
                 &sim,
                 &k,
@@ -359,9 +353,9 @@ mod tests {
         let mut b = Database::new();
         let obj = Objective::latency();
         let la = GFlowExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut a, Budget::evals(500), &obj);
+            .explore(&ExecEngine::serial(), &sim, &k, &space, &mut a, Budget::evals(500), &obj);
         let lb = GFlowExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut b, Budget::evals(500), &obj);
+            .explore(&ExecEngine::serial(), &sim, &k, &space, &mut b, Budget::evals(500), &obj);
         assert_eq!(a.entries(), b.entries());
         assert_eq!(la.evals, lb.evals);
         assert!(la.evals <= 45, "tiny canonical space bounds the evals");
@@ -375,7 +369,8 @@ mod tests {
         let mut db = Database::new();
         let budget = crate::objective::ResourceBudget::parse("dsp=0.5").unwrap();
         let obj = Objective::latency().with_budget(budget);
-        let log = GFlowExplorer::with_seed(1).explore_scored(
+        let log = GFlowExplorer::with_seed(1).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,

@@ -26,9 +26,6 @@ use rand::SeedableRng;
 /// incumbents that improved the design by at least `improvement_pct`.
 #[derive(Debug, Clone)]
 pub struct HybridExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// Neighbors evaluated per improvement event (the paper's `P`).
     pub neighbors_per_improvement: usize,
     /// Improvement (in percent) that triggers the local search (the `X%`).
@@ -39,7 +36,7 @@ pub struct HybridExplorer {
 
 impl Default for HybridExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, neighbors_per_improvement: 12, improvement_pct: 20.0, seed: 0 }
+        Self { neighbors_per_improvement: 12, improvement_pct: 20.0, seed: 0 }
     }
 }
 
@@ -57,7 +54,7 @@ impl Explorer for HybridExplorer {
     /// greedy phase is delegated to [`BottleneckExplorer`] under the same
     /// objective; each local-search round's deduplicated neighbor list is
     /// scored as one batch on the engine's pool.
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -68,8 +65,8 @@ impl Explorer for HybridExplorer {
         objective: &Objective,
     ) -> ExplorationLog {
         // Phase 1: greedy, with half the budget.
-        let greedy = BottleneckExplorer { util_threshold: self.util_threshold, seed: self.seed };
-        let mut log = greedy.explore_scored_with(
+        let greedy = BottleneckExplorer { seed: self.seed };
+        let mut log = greedy.explore(
             engine,
             eval,
             kernel,
@@ -172,10 +169,6 @@ impl Explorer for HybridExplorer {
         );
         log
     }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +185,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_greedy = Database::new();
-        BottleneckExplorer::new().explore_scored(
+        BottleneckExplorer::new().explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -202,7 +196,8 @@ mod tests {
         );
 
         let mut db_hybrid = Database::new();
-        let log = HybridExplorer::with_seed(1).explore_scored(
+        let log = HybridExplorer::with_seed(1).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -229,7 +224,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = HybridExplorer::with_seed(1).explore_scored(
+        let serial = HybridExplorer::with_seed(1).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -241,7 +237,7 @@ mod tests {
         for jobs in [1, 4] {
             let engine = ExecEngine::with_jobs(jobs);
             let mut db = Database::new();
-            let log = HybridExplorer::with_seed(1).explore_scored_with(
+            let log = HybridExplorer::with_seed(1).explore(
                 &engine,
                 &sim,
                 &k,
@@ -268,16 +264,29 @@ mod tests {
         let obj = Objective::latency();
         let mut db = Database::new();
         let explorer = HybridExplorer::with_seed(2);
-        let log = explorer.explore_scored(&sim, &k, &space, &mut db, Budget::evals(100), &obj);
+        let log = explorer.explore(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut db,
+            Budget::evals(100),
+            &obj,
+        );
         let best = log.best.expect("valid design").1;
         let mut db2 = Database::new();
-        // Reconstruct exactly the greedy phase the hybrid ran (same seed and
-        // threshold, half the budget) so the comparison is structural rather
-        // than dependent on a particular RNG stream.
-        let greedy_phase =
-            BottleneckExplorer { util_threshold: explorer.util_threshold, seed: explorer.seed };
-        let greedy =
-            greedy_phase.explore_scored(&sim, &k, &space, &mut db2, Budget::evals(50), &obj);
+        // Reconstruct exactly the greedy phase the hybrid ran (same seed,
+        // half the budget) so the comparison is structural rather than
+        // dependent on a particular RNG stream.
+        let greedy = BottleneckExplorer { seed: explorer.seed }.explore(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut db2,
+            Budget::evals(50),
+            &obj,
+        );
         let greedy_best = greedy.best.expect("valid design").1;
         assert!(best.cycles <= greedy_best.cycles);
     }

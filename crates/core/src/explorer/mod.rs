@@ -17,11 +17,10 @@
 //! their reward.
 
 //! All five implement the [`Explorer`] trait — one engine-taking,
-//! [`Objective`]-parameterized entry point,
-//! [`Explorer::explore_scored_with`], with [`Explorer::explore_scored`] as a
-//! serial-engine convenience — so campaigns can drive any mix of explorers
-//! through one shared [`ExecEngine`] under any objective (scalar latency,
-//! weighted sum, or Pareto, with optional resource budgets).
+//! [`Objective`]-parameterized entry point, [`Explorer::explore`] — so
+//! campaigns can drive any mix of explorers through one shared
+//! [`ExecEngine`] under any objective (scalar latency, weighted sum, or
+//! Pareto, with optional resource budgets).
 
 mod annealing;
 mod bottleneck;
@@ -67,14 +66,7 @@ impl Budget {
 /// scored through the engine's worker pool and oracle cache, comparisons go
 /// through the objective's ordered, dominance-aware
 /// [`Score`](crate::objective::Score) (never raw `f64` cycles), and the
-/// serial behavior is just the same code on a single-worker engine.
-/// [`Explorer::explore_scored`] is that serial convenience — a default
-/// method, so implementors only write [`Explorer::explore_scored_with`].
-///
-/// The scalar entry points [`Explorer::explore_with`] / [`Explorer::explore`]
-/// predate the objective parameter; they are deprecated shims that run the
-/// search under [`Explorer::objective`] (each explorer's own threshold,
-/// latency mode) so external callers compile — and behave — unchanged.
+/// serial behavior is the same code on [`ExecEngine::serial`].
 pub trait Explorer {
     /// What one run returns: an [`ExplorationLog`] for the guided
     /// explorers, the fresh-evaluation count for [`RandomExplorer`].
@@ -84,7 +76,7 @@ pub trait Explorer {
     /// scoring candidates through `engine` and recording every evaluation
     /// into `db`.
     #[allow(clippy::too_many_arguments)]
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -94,56 +86,6 @@ pub trait Explorer {
         budget: Budget,
         objective: &Objective,
     ) -> Self::Log;
-
-    /// [`Explorer::explore_scored_with`] on a fresh single-worker engine:
-    /// batched code path, serial execution.
-    fn explore_scored<B: EvalBackend + Sync>(
-        &self,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-        objective: &Objective,
-    ) -> Self::Log {
-        self.explore_scored_with(&ExecEngine::serial(), eval, kernel, space, db, budget, objective)
-    }
-
-    /// The objective this explorer optimizes when called through the
-    /// deprecated scalar entry points: latency mode under the explorer's
-    /// own utilization threshold — exactly the pre-redesign behavior.
-    fn objective(&self) -> Objective {
-        Objective::default()
-    }
-
-    /// Deprecated scalar shim: [`Explorer::explore_scored_with`] under
-    /// [`Explorer::objective`].
-    #[deprecated(note = "use `explore_scored_with` with an explicit `Objective`")]
-    fn explore_with<B: EvalBackend + Sync>(
-        &self,
-        engine: &ExecEngine,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-    ) -> Self::Log {
-        self.explore_scored_with(engine, eval, kernel, space, db, budget, &self.objective())
-    }
-
-    /// Deprecated scalar shim: [`Explorer::explore_scored`] under
-    /// [`Explorer::objective`].
-    #[deprecated(note = "use `explore_scored` with an explicit `Objective`")]
-    fn explore<B: EvalBackend + Sync>(
-        &self,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-    ) -> Self::Log {
-        self.explore_scored(eval, kernel, space, db, budget, &self.objective())
-    }
 }
 
 /// Canonicalizes `points` and drops canonical duplicates (first occurrence

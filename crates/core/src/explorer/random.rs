@@ -37,7 +37,7 @@ impl Explorer for RandomExplorer {
     /// the eval count — is identical at every `--jobs` setting. Uniform
     /// sampling optimizes nothing, so the objective is ignored: the same
     /// configurations are drawn under every [`Objective`].
-    fn explore_scored_with<B: EvalBackend + Sync>(
+    fn explore<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,
         eval: &B,
@@ -88,7 +88,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let n = RandomExplorer::new(3).explore_scored(
+        let n = RandomExplorer::new(3).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -107,7 +108,8 @@ mod tests {
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
         // Budget exceeds the canonical space; attempts cap must stop it.
-        let n = RandomExplorer::new(4).explore_scored(
+        let n = RandomExplorer::new(4).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -129,7 +131,7 @@ mod tests {
         for jobs in [1, 4, 8] {
             let engine = ExecEngine::with_jobs(jobs);
             let mut db = Database::new();
-            let n = RandomExplorer::new(3).explore_scored_with(
+            let n = RandomExplorer::new(3).explore(
                 &engine,
                 &sim,
                 &k,
@@ -154,30 +156,24 @@ mod tests {
         let mut a = Database::new();
         let mut b = Database::new();
         let obj = Objective::latency();
-        RandomExplorer::new(9).explore_scored(&sim, &k, &space, &mut a, Budget::evals(20), &obj);
-        RandomExplorer::new(9).explore_scored(&sim, &k, &space, &mut b, Budget::evals(20), &obj);
-        assert_eq!(a.entries(), b.entries());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_shims_match_the_scored_methods() {
-        let k = kernels::spmv_ellpack();
-        let space = DesignSpace::from_kernel(&k);
-        let sim = MerlinSimulator::new();
-        let mut via_shim = Database::new();
-        let mut via_scored = Database::new();
-        let e = RandomExplorer::new(11);
-        let n1 = e.explore(&sim, &k, &space, &mut via_shim, Budget::evals(15));
-        let n2 = e.explore_scored(
+        RandomExplorer::new(9).explore(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
-            &mut via_scored,
-            Budget::evals(15),
-            &e.objective(),
+            &mut a,
+            Budget::evals(20),
+            &obj,
         );
-        assert_eq!(n1, n2);
-        assert_eq!(via_shim.entries(), via_scored.entries());
+        RandomExplorer::new(9).explore(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut b,
+            Budget::evals(20),
+            &obj,
+        );
+        assert_eq!(a.entries(), b.entries());
     }
 }

@@ -251,27 +251,6 @@ impl Predictor {
     pub fn predict(&self, graph: &ProgramGraph, point: &DesignPoint) -> Prediction {
         self.predict_batch(graph, std::slice::from_ref(point))[0]
     }
-
-    /// Saves the trained predictor (all three models + normalizer) as JSON,
-    /// atomically (see [`crate::persist::atomic_write`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        crate::persist::atomic_write(path, &json)
-    }
-
-    /// Loads a predictor saved by [`Predictor::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
-    }
 }
 
 /// The int8 twin of a [`Predictor`]: the same three models with every
@@ -430,29 +409,6 @@ mod tests {
         p.fine_tune(&db2, &ks, &TrainConfig::quick().with_epochs(8));
         let after = eval_regression(p.regressor(), &ds, &valid).total();
         assert!(after < before, "fine-tuning should reduce error: {after} !< {before}");
-    }
-
-    #[test]
-    fn save_load_round_trip_preserves_predictions() {
-        let ks = vec![kernels::aes()];
-        let db = generate_database(&ks, &[], 20, 21);
-        let (p, _) = Predictor::train(
-            &db,
-            &ks,
-            ModelKind::Transformer,
-            ModelConfig::small(),
-            &TrainConfig::quick().with_epochs(2),
-        );
-        let dir = std::env::temp_dir().join("gnn_dse_predictor_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("predictor.json");
-        p.save(&path).unwrap();
-        let loaded = Predictor::load(&path).unwrap();
-        let space = DesignSpace::from_kernel(&ks[0]);
-        let graph = build_graph_bidirectional(&ks[0], &space);
-        let pt = space.point_at(3);
-        assert_eq!(p.predict(&graph, &pt), loaded.predict(&graph, &pt));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -218,7 +218,7 @@ fn load_for_mode(path: &Path, quant: bool) -> Result<(LoadedModel, ArtifactMeta)
 impl ArtifactProvider {
     /// Loads the artifact at `path` and serves it as epoch 1; backends
     /// built from this provider run their engine with `jobs` workers
-    /// (≤ 1 = serial).
+    /// (clamped to at least 1).
     ///
     /// # Errors
     ///
@@ -255,14 +255,6 @@ impl ArtifactProvider {
         self.state.lock().expect("provider lock").meta.clone()
     }
 
-    fn engine(&self) -> ExecEngine {
-        if self.jobs <= 1 {
-            ExecEngine::serial()
-        } else {
-            ExecEngine::with_jobs(self.jobs)
-        }
-    }
-
     /// The canary gate: a candidate model must answer a real prediction
     /// with finite values before it is allowed to serve.
     fn canary(service: &PredictService, meta: &ArtifactMeta) -> Result<(), String> {
@@ -292,9 +284,10 @@ impl ModelProvider for ArtifactProvider {
 
     fn build(&self) -> Result<(Box<dyn BatchPredictor>, u64), String> {
         let state = self.state.lock().expect("provider lock");
+        let engine = ExecEngine::with_jobs(self.jobs);
         let service = match &state.model {
-            LoadedModel::F32(p) => PredictService::new(p.clone(), self.engine()),
-            LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), self.engine()),
+            LoadedModel::F32(p) => PredictService::new(p.clone(), engine),
+            LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), engine),
         };
         Ok((Box::new(service), self.epoch.load(Ordering::SeqCst)))
     }
@@ -306,9 +299,10 @@ impl ModelProvider for ArtifactProvider {
         let outcome: Result<(LoadedModel, ArtifactMeta), String> = (|| {
             let (model, meta) = load_for_mode(&self.path, self.quant)
                 .map_err(|e| format!("artifact rejected: {e}"))?;
+            let engine = ExecEngine::with_jobs(self.jobs);
             let service = match &model {
-                LoadedModel::F32(p) => PredictService::new(p.clone(), self.engine()),
-                LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), self.engine()),
+                LoadedModel::F32(p) => PredictService::new(p.clone(), engine),
+                LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), engine),
             };
             Self::canary(&service, &meta)?;
             Ok((model, meta))

@@ -32,16 +32,18 @@ use gdse_tensor::{Matrix, QuantMatrix, QuantParamSet};
 /// File magic: the first four bytes of every artifact.
 pub const MAGIC: [u8; 4] = *b"GDSE";
 
-/// The original envelope version: f32-only section payloads.
+/// The original envelope version: f32-only section payloads. Still read,
+/// no longer written.
 pub const FORMAT_V1: u32 = 1;
 
 /// Envelope version 2: identical wire layout, but sections may carry
-/// int8-quantized model payloads ([`encode_model_quant`]). The version bump
-/// exists purely so builds that predate quantization refuse such files with
-/// a typed [`ArtifactError::UnsupportedVersion`] instead of misreading them.
+/// int8-quantized model payloads ([`encode_model_quant`]). Every artifact
+/// is written as v2, so builds that predate quantization refuse new files
+/// with a typed [`ArtifactError::UnsupportedVersion`] instead of misreading
+/// them.
 pub const FORMAT_V2: u32 = 2;
 
-/// Newest on-disk format version this build can read and write.
+/// Newest on-disk format version this build can read, and the one it writes.
 pub const FORMAT_VERSION: u32 = FORMAT_V2;
 
 /// Typed decode/validation failures of the artifact format.
@@ -79,7 +81,7 @@ impl std::fmt::Display for ArtifactError {
                 f,
                 "artifact truncated: needed {needed} more byte(s), {available} left"
             ),
-            ArtifactError::BadMagic => write!(f, "not a GDSE model artifact (bad magic)"),
+            ArtifactError::BadMagic => write!(f, "not a .gdse model artifact (bad magic)"),
             ArtifactError::UnsupportedVersion { found } => write!(
                 f,
                 "artifact format version {found} unsupported (this build reads 1..={FORMAT_VERSION})"
@@ -171,10 +173,8 @@ impl<'a> Reader<'a> {
 /// what the sections contain; `gnn-dse` layers predictor semantics on top.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
-    /// Envelope version this artifact is (or will be) encoded as. `new`
-    /// artifacts stay [`FORMAT_V1`] so plain-f32 files remain readable by
-    /// older builds; writers that add quantized sections must bump to
-    /// [`FORMAT_V2`] via [`Artifact::with_version`].
+    /// Envelope version this artifact is encoded as: [`FORMAT_VERSION`]
+    /// for new artifacts, or whatever a decoded file declared (v1 or v2).
     pub version: u32,
     /// Training metadata as a JSON document (schema version, kernel set,
     /// epoch count, seed). Kept as text so the envelope stays zero-dependency.
@@ -185,23 +185,9 @@ pub struct Artifact {
 
 impl Artifact {
     /// An empty artifact with the given metadata document, encoded as
-    /// [`FORMAT_V1`] (readable by every build).
+    /// [`FORMAT_VERSION`].
     pub fn new(meta_json: impl Into<String>) -> Self {
-        Artifact { version: FORMAT_V1, meta_json: meta_json.into(), sections: Vec::new() }
-    }
-
-    /// Replaces the envelope version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `version` is not one this build can write (1..=[`FORMAT_VERSION`]).
-    pub fn with_version(mut self, version: u32) -> Self {
-        assert!(
-            (FORMAT_V1..=FORMAT_VERSION).contains(&version),
-            "cannot write envelope version {version}"
-        );
-        self.version = version;
-        self
+        Artifact { version: FORMAT_VERSION, meta_json: meta_json.into(), sections: Vec::new() }
     }
 
     /// Appends a named payload section.
@@ -418,8 +404,8 @@ const PARAM_I8: u8 = 1;
 /// followed by the `f32` scale and `rows*cols` raw `i8` bytes for quantized
 /// weights. Quantized weights are ~4x smaller on disk than their f32 form.
 ///
-/// Sections produced by this function must live in a [`FORMAT_V2`] envelope
-/// (see [`Artifact::with_version`]) so pre-quantization builds reject the
+/// Sections produced by this function live in a [`FORMAT_V2`] envelope (the
+/// version [`Artifact::new`] writes), so pre-quantization builds reject the
 /// file instead of misparsing it.
 pub fn encode_model_quant(model: &PredictionModel, quant: &QuantParamSet) -> Vec<u8> {
     let mut out = Vec::new();
@@ -624,16 +610,29 @@ mod tests {
     }
 
     #[test]
-    fn plain_artifacts_stay_version_1_on_the_wire() {
-        // Back-compat: f32-only artifacts must keep encoding as v1 so
-        // pre-quantization builds can still read them.
-        let bytes = Artifact::new("{}").to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), FORMAT_V1);
+    fn v1_envelopes_are_still_read() {
+        // A hand-built v1 file: magic, version 1, meta, one section, and a
+        // valid checksum over everything before it.
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, FORMAT_V1);
+        put_str(&mut bytes, "{\"schema\":1}");
+        put_u32(&mut bytes, 1);
+        put_str(&mut bytes, "weights");
+        put_u32(&mut bytes, 3);
+        bytes.extend_from_slice(&[4, 5, 6]);
+        let sum = fnv1a64(&bytes);
+        put_u64(&mut bytes, sum);
+
+        let art = Artifact::from_bytes(&bytes).expect("this build reads v1");
+        assert_eq!(art.version, FORMAT_V1);
+        assert_eq!(art.meta_json, "{\"schema\":1}");
+        assert_eq!(art.section("weights"), Some(&[4u8, 5, 6][..]));
+        assert_eq!(art.to_bytes(), bytes, "re-encoding keeps the declared version");
     }
 
     #[test]
     fn v2_envelope_round_trips_and_v1_readers_would_reject_it() {
-        let mut art = Artifact::new("{\"quant\":true}").with_version(FORMAT_V2);
+        let mut art = Artifact::new("{\"quant\":true}");
         art.push_section("model_q", vec![9, 9, 9]);
         let bytes = art.to_bytes();
         assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), FORMAT_V2);
@@ -643,12 +642,6 @@ mod tests {
         // check to pin the rejection contract for old builds.
         let found = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         assert_ne!(found, FORMAT_V1, "old readers must see an unknown version");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot write envelope version")]
-    fn writing_a_future_version_is_rejected() {
-        let _ = Artifact::new("{}").with_version(FORMAT_VERSION + 1);
     }
 
     #[test]

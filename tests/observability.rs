@@ -7,7 +7,8 @@ use gdse_obs::metrics;
 use gdse_obs::RunReport;
 use gnn_dse::dbgen::{self, fault_injected_harness};
 use gnn_dse::harness::RetryPolicy;
-use gnn_dse::rounds::{run_rounds_with, RoundsConfig};
+use gnn_dse::rounds::{run_rounds, RoundsConfig};
+use gnn_dse::ExecEngine;
 use hls_ir::kernels;
 use merlin_sim::FaultConfig;
 use std::time::Instant;
@@ -21,11 +22,13 @@ fn run_campaign(dir: &std::path::Path) -> (RunReport, gnn_dse::HarnessStats) {
     let ks = vec![kernels::spmv_ellpack()];
     let harness =
         fault_injected_harness(FaultConfig::uniform(0.2, 17), RetryPolicy::with_max_retries(3));
-    let mut db = dbgen::generate_database_with(&harness, &ks, &[("spmv-ellpack", 30)], 30, 5);
+    let engine = ExecEngine::serial();
+    let mut db =
+        dbgen::generate_database_with(&engine, &harness, &ks, &[("spmv-ellpack", 30)], 30, 5);
     let ck = dir.join("obs_ck.json");
     std::fs::remove_file(&ck).ok();
     let cfg = RoundsConfig { rounds: 2, ..RoundsConfig::quick() };
-    run_rounds_with(&mut db, &ks, &cfg, &harness, Some(&ck), false).unwrap();
+    run_rounds(&mut db, &ks, &cfg, &harness, Some(&ck), false, &ExecEngine::serial()).unwrap();
     std::fs::remove_file(&ck).ok();
     let report = gnn_dse::build_run_report("rounds", started.elapsed());
     (report, harness.stats())

@@ -9,7 +9,7 @@ use design_space::DesignSpace;
 use gnn_dse::dbgen::{self, fault_injected_harness};
 use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::harness::{EvalBackend, RetryPolicy};
-use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
+use gnn_dse::rounds::{run_rounds, RoundsConfig};
 use gnn_dse::{ExecEngine, Normalizer, Predictor};
 use hls_ir::kernels;
 use merlin_sim::{FaultConfig, MerlinSimulator};
@@ -38,11 +38,11 @@ fn jobs_one_and_jobs_n_produce_byte_identical_campaigns() {
     for (label, n) in [("serial", 1), ("parallel", jobs)] {
         let engine = ExecEngine::with_jobs(n);
         let h = fault_injected_harness(faults, policy);
-        let mut db = dbgen::generate_database_par(&engine, &h, &ks, &[], 30, 5);
+        let mut db = dbgen::generate_database_with(&engine, &h, &ks, &[], 30, 5);
         let gen_path = dir.join(format!("gen_{label}.json"));
         db.save(&gen_path).unwrap();
 
-        let reports = run_rounds_with_engine(&mut db, &ks, &cfg, &h, None, false, &engine).unwrap();
+        let reports = run_rounds(&mut db, &ks, &cfg, &h, None, false, &engine).unwrap();
         let rounds_path = dir.join(format!("rounds_{label}.json"));
         db.save(&rounds_path).unwrap();
         outputs.push((

@@ -5,8 +5,8 @@
 use design_space::DesignSpace;
 use gnn_dse::dbgen::{self, fault_injected_harness};
 use gnn_dse::harness::{EvalBackend, Harness, RetryPolicy};
-use gnn_dse::rounds::{run_rounds_with, RoundsConfig};
-use gnn_dse::Database;
+use gnn_dse::rounds::{run_rounds, RoundsConfig};
+use gnn_dse::{Database, ExecEngine};
 use hls_ir::kernels;
 use merlin_sim::{FaultConfig, FaultyOracle, HlsOracle, MerlinSimulator};
 
@@ -33,7 +33,7 @@ fn faulty_database_generation_contains_only_validated_entries() {
     let ks = vec![kernels::spmv_ellpack()];
     let harness =
         fault_injected_harness(FaultConfig::uniform(0.25, 7), RetryPolicy::with_max_retries(3));
-    let db = dbgen::generate_database_with(&harness, &ks, &[], 40, 11);
+    let db = dbgen::generate_database_with(&ExecEngine::serial(), &harness, &ks, &[], 40, 11);
     // Every committed entry must match the fault-free ground truth: faults
     // may delay or lose evaluations but never corrupt committed results.
     let sim = MerlinSimulator::new();
@@ -84,7 +84,9 @@ fn faulty_rounds_complete_and_checkpoint_resume_matches() {
     // Uninterrupted faulty run.
     let mut db_full = base.clone();
     let h1 = fault_injected_harness(faults, policy);
-    let full = run_rounds_with(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
+    let full =
+        run_rounds(&mut db_full, &ks, &cfg, &h1, None, false, &ExecEngine::serial())
+            .unwrap();
     assert_eq!(full.len(), 2, "every round completes despite 20% faults");
 
     // Same campaign, killed after round 1 and resumed from the checkpoint.
@@ -93,11 +95,22 @@ fn faulty_rounds_complete_and_checkpoint_resume_matches() {
     let mut db_killed = base.clone();
     let h2 = fault_injected_harness(faults, policy);
     let killed_cfg = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
-    run_rounds_with(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
+    run_rounds(
+        &mut db_killed,
+        &ks,
+        &killed_cfg,
+        &h2,
+        Some(&ck),
+        false,
+        &ExecEngine::serial(),
+    )
+    .unwrap();
 
     let mut db_resumed = base.clone();
     let h3 = fault_injected_harness(faults, policy);
-    let resumed = run_rounds_with(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
+    let resumed =
+        run_rounds(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true, &ExecEngine::serial())
+            .unwrap();
 
     assert_eq!(resumed, full, "resumed reports must match the uninterrupted run");
     let a = dir.join("full.json");
@@ -158,7 +171,7 @@ fn resumed_campaign_metrics_match_an_uninterrupted_run() {
     metrics::reset();
     let mut db_full = base.clone();
     let h1 = fault_injected_harness(faults, policy);
-    run_rounds_with(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
+    run_rounds(&mut db_full, &ks, &cfg, &h1, None, false, &ExecEngine::serial()).unwrap();
     let full = work(&metrics::snapshot());
 
     // Same campaign killed after round 1; the checkpoint carries the metric
@@ -169,14 +182,23 @@ fn resumed_campaign_metrics_match_an_uninterrupted_run() {
     let mut db_killed = base.clone();
     let h2 = fault_injected_harness(faults, policy);
     let killed_cfg = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
-    run_rounds_with(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
+    run_rounds(
+        &mut db_killed,
+        &ks,
+        &killed_cfg,
+        &h2,
+        Some(&ck),
+        false,
+        &ExecEngine::serial(),
+    )
+    .unwrap();
 
     // ...so a resume in a fresh process (registry wiped) still reports the
     // whole campaign, not just the post-crash rounds.
     metrics::reset();
     let mut db_resumed = base.clone();
     let h3 = fault_injected_harness(faults, policy);
-    run_rounds_with(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
+    run_rounds(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true, &ExecEngine::serial()).unwrap();
     let resumed = work(&metrics::snapshot());
 
     assert!(
