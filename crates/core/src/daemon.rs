@@ -31,10 +31,11 @@
 //!
 //! ## Observability
 //!
-//! The learner mirrors its state into the server's live registry —
+//! The learner books its state on the server's live registry only —
 //! `learn.rounds`, `learn.swaps`, `learn.swap_failures` counters and
 //! `learn.buffer_depth` / `learn.last_loss` gauges show up in
-//! `admin stats` next to the `serve.*` series — and answers the
+//! `admin stats` next to the `serve.*` series and fold into the run
+//! report exactly once — and answers the
 //! `{"learn-status": true}` admin verb (`gnndse admin ADDR learn-status`)
 //! with a full status document: driver state, rounds completed, serving
 //! epoch, buffer depth, last fine-tune loss, swap counts.
@@ -375,6 +376,7 @@ impl Daemon {
     /// Only a panicked learner thread; a learner that failed cleanly is
     /// reported in [`DaemonReport::learner_error`].
     pub fn run(self) -> Result<DaemonReport, String> {
+        let before = obs::metrics::snapshot();
         let stats = {
             let _serve = obs::span::stage("serve");
             self.server.run()
@@ -382,7 +384,9 @@ impl Daemon {
         // `run` returning means shutdown began; make it explicit anyway so
         // the learner cannot outlive the serving plane.
         self.handle.shutdown();
-        match self.learner.join() {
+        let joined = self.learner.join();
+        fold_late_learn_metrics(&before, &self.handle.live_metrics().snapshot());
+        match joined {
             Ok(Ok((rounds, snap))) => {
                 obs::metrics::merge(&snap);
                 Ok(DaemonReport { serve: stats, rounds, learner_error: None })
@@ -392,6 +396,22 @@ impl Daemon {
             }
             Err(_) => Err("learner thread panicked".into()),
         }
+    }
+}
+
+/// The learner books `learn.*` on the live plane only, which `Server::run`
+/// folds into the caller's registry once, when serving stops. A round still
+/// running at that moment books after the fold; this tops the caller's
+/// `learn.*` up to the live plane's final values (`before` is the caller's
+/// registry before serving), so every booking lands exactly once.
+fn fold_late_learn_metrics(before: &obs::MetricsSnapshot, live: &obs::MetricsSnapshot) {
+    for (name, value) in live.counters_with_prefix("learn.") {
+        let had = before.counter(name).unwrap_or(0);
+        let folded = obs::metrics::counter_value(name).saturating_sub(had);
+        obs::metrics::counter_add(name, value.saturating_sub(folded));
+    }
+    for (name, value) in live.gauges.iter().filter(|(name, _)| name.starts_with("learn.")) {
+        obs::metrics::gauge_set(name, before.gauge(name).unwrap_or(0.0) + value);
     }
 }
 
@@ -483,7 +503,6 @@ fn learner_loop(
             }
             match handle.reload() {
                 Ok(epoch) => {
-                    obs::metrics::counter_inc("learn.swaps");
                     live.counter_inc("learn.swaps");
                     status.update(|s| s.swaps += 1);
                     obs::info!(
@@ -494,7 +513,6 @@ fn learner_loop(
                     );
                 }
                 Err(e) => {
-                    obs::metrics::counter_inc("learn.swap_failures");
                     live.counter_inc("learn.swap_failures");
                     status.update(|s| {
                         s.swap_failures += 1;
@@ -508,17 +526,13 @@ fn learner_loop(
             }
         }
 
-        obs::metrics::counter_inc("learn.rounds");
         live.counter_inc("learn.rounds");
-        let snap = obs::metrics::snapshot();
-        let loss = snap.gauge("train.epoch_loss");
+        let loss = obs::metrics::gauge_value("train.epoch_loss");
         let (depth, rstats) =
             driver.replay().map_or((0, ReplayStats::default()), |b| (b.len(), b.stats()));
         live.gauge_set("learn.buffer_depth", depth as f64);
-        obs::metrics::gauge_set("learn.buffer_depth", depth as f64);
         if let Some(l) = loss {
             live.gauge_set("learn.last_loss", l);
-            obs::metrics::gauge_set("learn.last_loss", l);
         }
         status.update(|s| {
             s.rounds_completed = round as u64;

@@ -239,8 +239,81 @@ struct Registry {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The one body of every registry operation; the thread-local free
+/// functions and [`SharedMetrics`] only differ in how they reach a
+/// `Registry`.
+impl Registry {
+    fn counter_add(&mut self, name: &str, delta: u64) {
+        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    }
+
+    fn counter_value(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    fn gauge_set(&mut self, name: &str, value: f64) {
+        self.gauges.insert(name.to_string(), value);
+    }
+
+    fn gauge_add(&mut self, name: &str, delta: f64) {
+        *self.gauges.entry(name.to_string()).or_insert(0.0) += delta;
+    }
+
+    fn gauge_value(&self, name: &str) -> Option<f64> {
+        self.gauges.get(name).copied()
+    }
+
+    fn observe_with_edges(&mut self, name: &str, edges: &[u64], us: u64) {
+        self.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(edges)).record(us);
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            histograms: self.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
+        }
+    }
+
+    fn from_snapshot(snap: &MetricsSnapshot) -> Registry {
+        Registry {
+            counters: snap.counters.iter().cloned().collect(),
+            gauges: snap.gauges.iter().cloned().collect(),
+            histograms: snap
+                .histograms
+                .iter()
+                .map(|h| (h.name.clone(), Histogram::from_snapshot(h)))
+                .collect(),
+        }
+    }
+
+    fn merge(&mut self, snap: &MetricsSnapshot) {
+        for (name, v) in &snap.counters {
+            *self.counters.entry(name.clone()).or_insert(0) += v;
+        }
+        for (name, v) in &snap.gauges {
+            *self.gauges.entry(name.clone()).or_insert(0.0) += v;
+        }
+        for h in &snap.histograms {
+            match self.histograms.entry(h.name.clone()) {
+                std::collections::btree_map::Entry::Occupied(mut e) => {
+                    e.get_mut().add_snapshot(h);
+                }
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(Histogram::from_snapshot(h));
+                }
+            }
+        }
+    }
+}
+
 thread_local! {
     static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+}
+
+/// Runs `f` on this thread's registry.
+fn local<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
+    REGISTRY.with(|r| f(&mut r.borrow_mut()))
 }
 
 /// Composes a one-label metric key: `name{key=value}`.
@@ -250,9 +323,7 @@ pub fn labeled(name: &str, key: &str, value: &str) -> String {
 
 /// Adds `delta` to counter `name` (creating it at 0).
 pub fn counter_add(name: &str, delta: u64) {
-    REGISTRY.with(|r| {
-        *r.borrow_mut().counters.entry(name.to_string()).or_insert(0) += delta;
-    });
+    local(|r| r.counter_add(name, delta));
 }
 
 /// Increments counter `name` by one.
@@ -267,81 +338,44 @@ pub fn counter_add_labeled(name: &str, key: &str, value: &str, delta: u64) {
 
 /// The current value of counter `name` (0 if never touched).
 pub fn counter_value(name: &str) -> u64 {
-    REGISTRY.with(|r| r.borrow().counters.get(name).copied().unwrap_or(0))
+    local(|r| r.counter_value(name))
 }
 
 /// Sets gauge `name` to `value`.
 pub fn gauge_set(name: &str, value: f64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut().gauges.insert(name.to_string(), value);
-    });
+    local(|r| r.gauge_set(name, value));
 }
 
 /// Adds `delta` to gauge `name` (creating it at 0) — for accumulating
 /// fractional quantities like modelled HLS minutes.
 pub fn gauge_add(name: &str, delta: f64) {
-    REGISTRY.with(|r| {
-        *r.borrow_mut().gauges.entry(name.to_string()).or_insert(0.0) += delta;
-    });
+    local(|r| r.gauge_add(name, delta));
 }
 
 /// The current value of gauge `name`, if set.
 pub fn gauge_value(name: &str) -> Option<f64> {
-    REGISTRY.with(|r| r.borrow().gauges.get(name).copied())
+    local(|r| r.gauge_value(name))
 }
 
 /// Records `us` into histogram `name` (created over [`DEFAULT_US_EDGES`]).
 pub fn observe_us(name: &str, us: u64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::default_us)
-            .record(us);
-    });
+    observe_with_edges(name, &DEFAULT_US_EDGES, us);
 }
 
 /// Records `us` into histogram `name`, creating it over `edges` if new.
 pub fn observe_with_edges(name: &str, edges: &[u64], us: u64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(edges))
-            .record(us);
-    });
-}
-
-/// Runs `f` with the named histogram, if it exists.
-pub fn with_histogram<T>(name: &str, f: impl FnOnce(&Histogram) -> T) -> Option<T> {
-    REGISTRY.with(|r| r.borrow().histograms.get(name).map(f))
+    local(|r| r.observe_with_edges(name, edges, us));
 }
 
 /// A deterministic (sorted) copy of this thread's registry.
 pub fn snapshot() -> MetricsSnapshot {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        MetricsSnapshot {
-            counters: r.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: r.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: r.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
-        }
-    })
+    local(|r| r.snapshot())
 }
 
 /// Replaces this thread's registry with `snap` — the resume half of
 /// checkpointed accounting.
 pub fn restore(snap: &MetricsSnapshot) {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        r.counters = snap.counters.iter().cloned().collect();
-        r.gauges = snap.gauges.iter().cloned().collect();
-        r.histograms = snap
-            .histograms
-            .iter()
-            .map(|h| (h.name.clone(), Histogram::from_snapshot(h)))
-            .collect();
-    });
+    local(|r| *r = Registry::from_snapshot(snap));
 }
 
 /// Adds `snap` **into** this thread's registry (unlike [`restore`], which
@@ -352,30 +386,12 @@ pub fn restore(snap: &MetricsSnapshot) {
 /// section. Histograms with mismatched bucket edges are skipped (debug
 /// builds assert; every metric name uses one fixed edge set).
 pub fn merge(snap: &MetricsSnapshot) {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
-        for (name, v) in &snap.counters {
-            *r.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &snap.gauges {
-            *r.gauges.entry(name.clone()).or_insert(0.0) += v;
-        }
-        for h in &snap.histograms {
-            match r.histograms.entry(h.name.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().add_snapshot(h);
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(Histogram::from_snapshot(h));
-                }
-            }
-        }
-    });
+    local(|r| r.merge(snap));
 }
 
 /// Clears this thread's registry.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = Registry::default());
+    local(|r| *r = Registry::default());
 }
 
 /// A mutex-guarded registry shared **across** threads, for metrics that
@@ -406,7 +422,7 @@ impl SharedMetrics {
 
     /// Adds `delta` to counter `name` (creating it at 0).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        self.with(|r| *r.counters.entry(name.to_string()).or_insert(0) += delta);
+        self.with(|r| r.counter_add(name, delta));
     }
 
     /// Increments counter `name` by one.
@@ -416,55 +432,29 @@ impl SharedMetrics {
 
     /// The current value of counter `name` (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.with(|r| r.counters.get(name).copied().unwrap_or(0))
+        self.with(|r| r.counter_value(name))
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.with(|r| {
-            r.gauges.insert(name.to_string(), value);
-        });
+        self.with(|r| r.gauge_set(name, value));
     }
 
     /// The current value of gauge `name`, if set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.with(|r| r.gauges.get(name).copied())
+        self.with(|r| r.gauge_value(name))
     }
 
     /// Records `us` into histogram `name` (created over
     /// [`DEFAULT_US_EDGES`]).
     pub fn observe_us(&self, name: &str, us: u64) {
-        self.with(|r| {
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(Histogram::default_us)
-                .record(us);
-        });
-    }
-
-    /// Records `us` into histogram `name`, creating it over `edges` if new.
-    pub fn observe_with_edges(&self, name: &str, edges: &[u64], us: u64) {
-        self.with(|r| {
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(edges))
-                .record(us);
-        });
+        self.with(|r| r.observe_with_edges(name, &DEFAULT_US_EDGES, us));
     }
 
     /// A deterministic (sorted) copy of the shared registry — safe to call
     /// from any thread at any time.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.with(|r| MetricsSnapshot {
-            counters: r.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: r.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: r.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
-        })
-    }
-
-    /// Clears the shared registry.
-    pub fn reset(&self) {
-        self.with(|r| *r = Registry::default());
+        self.with(|r| r.snapshot())
     }
 }
 

@@ -63,7 +63,9 @@ fn daemon_serves_with_monotone_epochs_and_survives_artifact_corruption() {
     let addr = daemon.addr().to_string();
     let handle = daemon.handle();
     let status = daemon.status();
-    let run = std::thread::spawn(move || daemon.run());
+    // The run thread's registry is the one `Daemon::run` folds the learner's
+    // metrics into; hand it back alongside the report.
+    let run = std::thread::spawn(move || daemon.run().map(|r| (r, gdse_obs::metrics::snapshot())));
 
     let mut client = Client::connect(&addr).expect("connect");
     let predict = |client: &mut Client, id: u64| match client.predict(id, "atax", 3) {
@@ -118,12 +120,15 @@ fn daemon_serves_with_monotone_epochs_and_survives_artifact_corruption() {
 
     drop(client);
     handle.shutdown();
-    let report = run.join().unwrap().expect("daemon run");
+    let (report, metrics) = run.join().unwrap().expect("daemon run");
     assert!(report.learner_error.is_none(), "learner died: {:?}", report.learner_error);
     assert_eq!(report.serve.errors, 0, "no client predict may fail during swaps");
     assert!(report.serve.reload_failures >= 1, "the corrupt reload was counted");
     assert!(report.serve.reloads >= 2);
     assert!(status.swap_failures() == 0, "learner-driven swaps all succeeded");
+    // Every learner booking reaches the folded registry exactly once.
+    assert_eq!(metrics.counter("learn.rounds"), Some(status.rounds_completed()));
+    assert_eq!(metrics.counter("learn.swaps"), Some(status.swaps()));
     std::fs::remove_dir_all(&dir).ok();
 }
 
